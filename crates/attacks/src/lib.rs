@@ -56,6 +56,116 @@ impl AttackOutcome {
     }
 }
 
+/// One thing the attacker does to a running victim.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// Step until the kernel has fully verified this many calls; the
+    /// attack fails if the program ends first.
+    WarmUp(u64),
+    /// The attacker's write primitive: make the range writable and
+    /// overwrite it through the physical path.
+    Write {
+        /// First byte overwritten.
+        addr: u32,
+        /// The bytes written there.
+        bytes: Vec<u8>,
+    },
+    /// Set aside the current contents of a range for a later
+    /// [`Action::Replay`].
+    Snapshot {
+        /// First byte saved.
+        addr: u32,
+        /// Bytes saved.
+        len: u32,
+    },
+    /// Write the last snapshot back over its range, as [`Action::Write`]
+    /// does; the attack fails if the range has not changed since.
+    Replay,
+}
+
+/// Cycle budget for a victim run.
+pub const VICTIM_BUDGET: u64 = 100_000_000;
+
+/// An attack ready to run: the loaded victim and the attacker's script,
+/// played in order before the victim runs to the end.
+#[derive(Debug)]
+pub struct AttackRun {
+    /// The victim process, loaded and not yet started.
+    pub machine: Machine<Kernel>,
+    /// What the attacker does to it first.
+    pub script: Vec<Action>,
+}
+
+impl AttackRun {
+    fn new(machine: Machine<Kernel>) -> AttackRun {
+        AttackRun {
+            machine,
+            script: Vec::new(),
+        }
+    }
+
+    fn then(mut self, action: Action) -> AttackRun {
+        self.script.push(action);
+        self
+    }
+
+    /// Plays the script, then runs the victim for [`VICTIM_BUDGET`]
+    /// cycles.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackOutcome::Failed`] if the victim ends during a warm-up or a
+    /// replayed range never changed.
+    fn execute(self) -> Result<(RunOutcome, Kernel), AttackOutcome> {
+        let mut m = self.machine;
+        let mut snapshot: Option<(u32, Vec<u8>)> = None;
+        for action in self.script {
+            match action {
+                Action::WarmUp(n) => {
+                    while m.handler().stats().verified < n {
+                        if let StepOutcome::Done(outcome) = m.step() {
+                            return Err(AttackOutcome::Failed(format!(
+                                "ended during warm-up: {outcome:?}"
+                            )));
+                        }
+                    }
+                }
+                Action::Write { addr, bytes } => attacker_write(&mut m, addr, &bytes),
+                Action::Snapshot { addr, len } => {
+                    let bytes = m.mem().kread(addr, len).expect("snapshot is mapped");
+                    snapshot = Some((addr, bytes));
+                }
+                Action::Replay => {
+                    let (addr, bytes) = snapshot.take().expect("replay follows a snapshot");
+                    let now = m.mem().kread(addr, bytes.len() as u32).expect("mapped");
+                    if now == bytes {
+                        return Err(AttackOutcome::Failed("replayed range never changed".into()));
+                    }
+                    attacker_write(&mut m, addr, &bytes);
+                }
+            }
+        }
+        let outcome = m.run(VICTIM_BUDGET);
+        Ok((outcome, m.into_handler()))
+    }
+
+    /// [`AttackRun::execute`] for scripts without warm-ups or replays,
+    /// which cannot fail.
+    fn finish(self) -> (RunOutcome, Kernel) {
+        self.execute().expect("script cannot fail")
+    }
+}
+
+/// Makes `[addr, addr + bytes.len())` writable and overwrites it (the
+/// attacker's arbitrary-write primitive; the simulator models pre-NX
+/// hardware).
+fn attacker_write(m: &mut Machine<Kernel>, addr: u32, bytes: &[u8]) {
+    m.mem_mut().protect(addr, bytes.len() as u32, PageFlags::RW);
+    m.mem_mut()
+        .kwrite(addr, bytes)
+        .expect("attacker write is mapped");
+}
+
 /// The attack laboratory: the victim in unprotected and installed forms,
 /// plus a donor application for gadget theft.
 pub struct AttackLab {
@@ -212,7 +322,7 @@ impl AttackLab {
     fn buffer_address(&self, binary: &Binary) -> u32 {
         let mut m = self.machine(binary, b"probe\n");
         for _ in 0..1_000_000 {
-            let fetched = m.mem().fetch(m.pc()).map(Instruction::decode);
+            let fetched = m.mem().fetch(m.pc()).map(|b| Instruction::decode(&b));
             if let Ok(Ok(instr)) = fetched {
                 if instr.op == Opcode::Syscall && m.reg(Reg::R0) == 3 && m.reg(Reg::R3) == 256 {
                     return m.reg(Reg::R2); // buf argument of read(0, buf, 256)
@@ -260,10 +370,43 @@ impl AttackLab {
         payload
     }
 
+    #[cfg(test)]
     fn run_to_outcome(&self, binary: &Binary, stdin: &[u8]) -> (RunOutcome, Kernel) {
-        let mut m = self.machine(binary, stdin);
-        let outcome = m.run(100_000_000);
-        (outcome, m.into_handler())
+        AttackRun::new(self.machine(binary, stdin)).finish()
+    }
+
+    /// Every attack this lab runs, named, as a victim plus script:
+    /// shellcode and non-control-data on both binaries, mimicry, both
+    /// stale-cache attacks, and the reorder and raw-gadget attacks under
+    /// every tier. Harnesses that
+    /// drive the victim themselves (e.g. a lock-step differential of the
+    /// interpreter) run these; the `*_attack` methods run the same ones.
+    pub fn runs(&self) -> Vec<(String, AttackRun)> {
+        let mut runs = Vec::new();
+        for protected in [false, true] {
+            runs.push((
+                format!("shellcode/{protected}"),
+                self.shellcode_run(protected),
+            ));
+            runs.push((
+                format!("non-control-data/{protected}"),
+                self.non_control_data_run(protected),
+            ));
+        }
+        runs.push(("mimicry".to_string(), self.mimicry_run()));
+        runs.push((
+            "stale-cache-string".to_string(),
+            self.stale_cache_string_run(),
+        ));
+        runs.push((
+            "stale-cache-state-replay".to_string(),
+            self.stale_cache_state_replay_run(),
+        ));
+        for tier in VerifyTier::ALL {
+            runs.push((format!("reorder/{tier:?}"), self.reorder_run(tier)));
+            runs.push((format!("gadget/{tier:?}"), self.gadget_run(tier)));
+        }
+        runs
     }
 
     fn classify(outcome: RunOutcome, kernel: &Kernel) -> AttackOutcome {
@@ -282,6 +425,11 @@ impl AttackLab {
     /// Attack 1: classic shellcode injection (`execve("/bin/sh")` from the
     /// stack). `protected` selects the installed or unprotected victim.
     pub fn shellcode_attack(&self, protected: bool) -> AttackOutcome {
+        let (outcome, kernel) = self.shellcode_run(protected).finish();
+        Self::classify(outcome, &kernel)
+    }
+
+    fn shellcode_run(&self, protected: bool) -> AttackRun {
         let binary = if protected {
             &self.victim_auth
         } else {
@@ -299,33 +447,14 @@ impl AttackLab {
             Instruction::halt(),
         ];
         let payload = self.shellcode_payload(binary, &shellcode);
-        let (outcome, kernel) = self.run_to_outcome(binary, &payload);
-        Self::classify(outcome, &kernel)
+        AttackRun::new(self.machine(binary, &payload))
     }
 
     /// Attack 2: mimicry by reusing an *authenticated* gadget lifted from
     /// the donor application, with the donor's `.asc` data replicated at
     /// its original addresses (heap-spray style).
     pub fn mimicry_attack(&self) -> AttackOutcome {
-        let binary = &self.victim_auth;
-        // Lift the donor's authenticated write gadget: the argument +
-        // policy loads followed by the syscall.
-        let (gadget, donor_asc) = extract_gadget(&self.donor_auth);
-        let mut shellcode = gadget;
-        shellcode.push(Instruction::halt());
-        let payload = self.shellcode_payload(binary, &shellcode);
-
-        let mut m = self.machine(binary, &payload);
-        // Replicate the donor's .asc section into the victim's address
-        // space at the donor's addresses (the attacker's arbitrary-write /
-        // heap-spray step).
-        m.mem_mut()
-            .protect(donor_asc.0, donor_asc.1.len() as u32, PageFlags::RW);
-        m.mem_mut()
-            .kwrite(donor_asc.0, &donor_asc.1)
-            .expect("replicate .asc");
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
+        let (outcome, kernel) = self.mimicry_run().finish();
         if kernel
             .trace()
             .iter()
@@ -337,27 +466,48 @@ impl AttackLab {
         Self::classify(outcome, &kernel)
     }
 
+    fn mimicry_run(&self) -> AttackRun {
+        let binary = &self.victim_auth;
+        // Lift the donor's authenticated write gadget: the argument +
+        // policy loads followed by the syscall.
+        let (gadget, donor_asc) = extract_gadget(&self.donor_auth);
+        let mut shellcode = gadget;
+        shellcode.push(Instruction::halt());
+        let payload = self.shellcode_payload(binary, &shellcode);
+
+        // Replicate the donor's .asc section into the victim's address
+        // space at the donor's addresses (the attacker's arbitrary-write /
+        // heap-spray step).
+        AttackRun::new(self.machine(binary, &payload)).then(Action::Write {
+            addr: donor_asc.0,
+            bytes: donor_asc.1,
+        })
+    }
+
     /// Attack 3: non-control-data — overwrite the authenticated string
     /// `"/bin/ls"` with `"/bin/sh"` and let the victim reach its
     /// legitimate `execve`. `protected` selects the binary.
     pub fn non_control_data_attack(&self, protected: bool) -> AttackOutcome {
+        let (outcome, kernel) = self.non_control_data_run(protected).finish();
+        Self::classify(outcome, &kernel)
+    }
+
+    fn non_control_data_run(&self, protected: bool) -> AttackRun {
         let binary = if protected {
             &self.victim_auth
         } else {
             &self.victim_plain
         };
-        let mut m = self.machine(binary, b"/etc/motd\n");
         // Find "/bin/ls" in the loaded image and overwrite it — for the
         // authenticated binary that is the AS contents in .asc; for the
         // plain binary it is the .rodata literal (which the attacker's
         // write primitive can reach because the simulator models pre-NX
         // hardware; we flip the page writable to model a WWW primitive).
         let target = find_bytes(binary, b"/bin/ls\0").expect("literal present");
-        m.mem_mut().protect(target, 8, PageFlags::RW);
-        m.mem_mut().kwrite(target, b"/bin/sh\0").expect("overwrite");
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
-        Self::classify(outcome, &kernel)
+        AttackRun::new(self.machine(binary, b"/etc/motd\n")).then(Action::Write {
+            addr: target,
+            bytes: b"/bin/sh\0".to_vec(),
+        })
     }
 
     /// Builds and installs the looping guest used by the stale-cache
@@ -374,19 +524,6 @@ impl AttackLab {
             .0
     }
 
-    /// Steps `m` until the kernel has fully verified `n` calls, failing the
-    /// attack if the program ends first.
-    fn warm_up(m: &mut Machine<Kernel>, n: u64) -> Result<(), AttackOutcome> {
-        while m.handler().stats().verified < n {
-            if let StepOutcome::Done(outcome) = m.step() {
-                return Err(AttackOutcome::Failed(format!(
-                    "ended during warm-up: {outcome:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Attack 4: stale-cache string rewrite. Let the looping victim's
     /// repeated `access("/etc/motd")` warm the verified-call cache, then
     /// overwrite the authenticated string's contents in `.asc` and resume.
@@ -394,18 +531,10 @@ impl AttackLab {
     /// accepting the call; a sound one must re-compare the bytes, miss, and
     /// kill on the string MAC.
     pub fn stale_cache_string_attack(&self) -> AttackOutcome {
-        let binary = self.build_looper();
-        let mut m = self.machine(&binary, b"");
-        if let Err(fail) = Self::warm_up(&mut m, 2) {
-            return fail;
-        }
-        let target = find_bytes(&binary, b"/etc/motd\0").expect("AS contents present");
-        m.mem_mut().protect(target, 10, PageFlags::RW);
-        m.mem_mut()
-            .kwrite(target, b"/etc/pass\0")
-            .expect("overwrite");
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
+        let (outcome, kernel) = match self.stale_cache_string_run().execute() {
+            Ok(done) => done,
+            Err(fail) => return fail,
+        };
         match outcome {
             // Reaching exit means iterations ran with the forged string.
             RunOutcome::Exited(_) => {
@@ -415,6 +544,17 @@ impl AttackLab {
         }
     }
 
+    fn stale_cache_string_run(&self) -> AttackRun {
+        let binary = self.build_looper();
+        let target = find_bytes(&binary, b"/etc/motd\0").expect("AS contents present");
+        AttackRun::new(self.machine(&binary, b""))
+            .then(Action::WarmUp(2))
+            .then(Action::Write {
+                addr: target,
+                bytes: b"/etc/pass\0".to_vec(),
+            })
+    }
+
     /// Attack 5: stale-cache policy-state replay. Snapshot the in-memory
     /// policy-state cell (the first [`POLICY_STATE_LEN`] bytes of `.asc`)
     /// after one verified call, let another call advance it, then restore
@@ -422,45 +562,32 @@ impl AttackLab {
     /// memory-checker epoch would accept. The kernel must reject the stale
     /// cell against its per-process counter and kill.
     pub fn stale_cache_state_replay_attack(&self) -> AttackOutcome {
-        let binary = self.build_looper();
-        let asc_addr = binary
-            .section_by_name(".asc")
-            .expect("installed looper has .asc")
-            .addr;
-        let mut m = self.machine(&binary, b"");
-        if let Err(fail) = Self::warm_up(&mut m, 1) {
-            return fail;
-        }
-        let snapshot = m
-            .mem()
-            .kread(asc_addr, POLICY_STATE_LEN as u32)
-            .expect("read state cell")
-            .to_vec();
-        if let Err(fail) = Self::warm_up(&mut m, 2) {
-            return fail;
-        }
-        let advanced = m
-            .mem()
-            .kread(asc_addr, POLICY_STATE_LEN as u32)
-            .expect("read state cell")
-            .to_vec();
-        assert_ne!(
-            snapshot, advanced,
-            "state cell must advance between verified calls"
-        );
-        m.mem_mut()
-            .protect(asc_addr, POLICY_STATE_LEN as u32, PageFlags::RW);
-        m.mem_mut()
-            .kwrite(asc_addr, &snapshot)
-            .expect("replay state");
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
+        let (outcome, kernel) = match self.stale_cache_state_replay_run().execute() {
+            Ok(done) => done,
+            Err(fail) => return fail,
+        };
         match outcome {
             RunOutcome::Exited(_) => {
                 AttackOutcome::Succeeded("replayed policy state accepted".into())
             }
             other => Self::classify(other, &kernel),
         }
+    }
+
+    fn stale_cache_state_replay_run(&self) -> AttackRun {
+        let binary = self.build_looper();
+        let asc_addr = binary
+            .section_by_name(".asc")
+            .expect("installed looper has .asc")
+            .addr;
+        AttackRun::new(self.machine(&binary, b""))
+            .then(Action::WarmUp(1))
+            .then(Action::Snapshot {
+                addr: asc_addr,
+                len: POLICY_STATE_LEN as u32,
+            })
+            .then(Action::WarmUp(2))
+            .then(Action::Replay)
     }
 
     /// Builds and installs the staged launcher used by the reorder attack.
@@ -511,6 +638,17 @@ impl AttackLab {
     /// flow digraph. Returns the outcome plus the kernel so callers can
     /// check for side effects.
     pub fn reorder_attack_traced(&self, tier: VerifyTier) -> (AttackOutcome, Kernel) {
+        let (outcome, kernel) = self.reorder_run(tier).finish();
+        let audited = kernel.stdout().starts_with(b"audit:");
+        if kernel.exec_requests().iter().any(|p| p == "/bin/ls") && !audited {
+            let result = AttackOutcome::Succeeded("execve reached without the audit write".into());
+            return (result, kernel);
+        }
+        let result = Self::classify(outcome, &kernel);
+        (result, kernel)
+    }
+
+    fn reorder_run(&self, tier: VerifyTier) -> AttackRun {
         let binary = self.reorder_victim();
         let launch = binary
             .symbol("launch")
@@ -523,16 +661,7 @@ impl AttackLab {
         payload.extend_from_slice(&(scratch + 64).to_le_bytes()); // saved fp
         payload.extend_from_slice(&launch.to_le_bytes()); // return address
         payload.push(b'\n'); // consumed by the NUL-termination
-        let mut m = self.tier_machine(&binary, &payload, tier);
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
-        let audited = kernel.stdout().starts_with(b"audit:");
-        if kernel.exec_requests().iter().any(|p| p == "/bin/ls") && !audited {
-            let result = AttackOutcome::Succeeded("execve reached without the audit write".into());
-            return (result, kernel);
-        }
-        let result = Self::classify(outcome, &kernel);
-        (result, kernel)
+        AttackRun::new(self.tier_machine(&binary, &payload, tier))
     }
 
     /// [`AttackLab::reorder_attack_traced`] without the kernel.
@@ -566,6 +695,16 @@ impl AttackLab {
     /// every tier, before the write produces output. Returns the outcome
     /// plus the kernel so callers can check for side effects.
     pub fn gadget_attack_traced(&self, tier: VerifyTier) -> (AttackOutcome, Kernel) {
+        let (outcome, kernel) = self.gadget_run(tier).finish();
+        if kernel.stdout().windows(5).any(|w| w == b"pwned") {
+            let result = AttackOutcome::Succeeded("hidden gadget's write dispatched".into());
+            return (result, kernel);
+        }
+        let result = Self::classify(outcome, &kernel);
+        (result, kernel)
+    }
+
+    fn gadget_run(&self, tier: VerifyTier) -> AttackRun {
         let binary = self.gadget_victim();
         let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
         let opts = if self.use_cache {
@@ -580,15 +719,7 @@ impl AttackLab {
         }
         kernel.set_site_registry(asc_workloads::sites_of(&binary, &self.key));
         kernel.set_brk(binary.highest_addr());
-        let mut m = Machine::load(&binary, kernel).expect("gadget fits");
-        let outcome = m.run(100_000_000);
-        let kernel = m.into_handler();
-        if kernel.stdout().windows(5).any(|w| w == b"pwned") {
-            let result = AttackOutcome::Succeeded("hidden gadget's write dispatched".into());
-            return (result, kernel);
-        }
-        let result = Self::classify(outcome, &kernel);
-        (result, kernel)
+        AttackRun::new(Machine::load(&binary, kernel).expect("gadget fits"))
     }
 
     /// [`AttackLab::gadget_attack_traced`] without the kernel.
@@ -789,7 +920,7 @@ mod tests {
         let binary = lab.reorder_victim();
         for tier in VerifyTier::ALL {
             let mut m = lab.tier_machine(&binary, b"/etc/motd\n", tier);
-            let outcome = m.run(100_000_000);
+            let outcome = m.run(VICTIM_BUDGET);
             let kernel = m.into_handler();
             assert_eq!(
                 outcome,

@@ -323,7 +323,7 @@ impl Kernel {
             }
             Sethostname => match ctx.mem.kread(args[0], args[1].min(64)) {
                 Ok(b) => {
-                    self.hostname = String::from_utf8_lossy(b).into_owned();
+                    self.hostname = String::from_utf8_lossy(&b).into_owned();
                     0
                 }
                 Err(_) => EFAULT,
@@ -695,7 +695,7 @@ impl Kernel {
     fn sys_write(&mut self, fd: u32, buf: u32, len: u32, ctx: &mut TrapContext<'_>) -> u32 {
         let len = len.min(1 << 20);
         let data = match ctx.mem.kread(buf, len) {
-            Ok(d) => d.to_vec(),
+            Ok(d) => d,
             Err(_) => return EFAULT,
         };
         let kind = match self.fd(fd) {

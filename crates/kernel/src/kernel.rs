@@ -1400,10 +1400,7 @@ impl UserMemory for VmUserMemory<'_> {
         self.0.kread_u32(addr).map_err(fault_of)
     }
     fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Violation> {
-        self.0
-            .kread(addr, len)
-            .map(|b| b.to_vec())
-            .map_err(fault_of)
+        self.0.kread(addr, len).map_err(fault_of)
     }
     fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation> {
         self.0.kwrite(addr, bytes).map_err(fault_of)

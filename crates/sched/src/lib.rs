@@ -335,14 +335,19 @@ impl Scheduler {
     /// Picks the next runnable process per the policy and runs one slice.
     /// Returns the pid that ran, or `None` when no process is runnable.
     pub fn step(&mut self) -> Option<Pid> {
-        let runnable: Vec<usize> = (0..self.procs.len())
-            .filter(|&i| self.procs[i].state.is_runnable())
-            .collect();
-        if runnable.is_empty() {
+        let runnable = self.procs.iter().filter(|p| p.state.is_runnable()).count();
+        if runnable == 0 {
             return None;
         }
         let idx = match self.rng.as_mut() {
-            Some(rng) => runnable[rng.range_usize(0, runnable.len())],
+            Some(rng) => {
+                // The k-th runnable pid, with no per-slice allocation.
+                let k = rng.range_usize(0, runnable);
+                (0..self.procs.len())
+                    .filter(|&i| self.procs[i].state.is_runnable())
+                    .nth(k)
+                    .expect("k < runnable count")
+            }
             None => {
                 // Round-robin: first runnable index at or after the cursor.
                 let n = self.procs.len();

@@ -1,5 +1,6 @@
-//! The SVM32 virtual machine: memory with page-level protection, the CPU
-//! interpreter, and deterministic cycle accounting.
+//! The SVM32 virtual machine: paged memory with page-level protection and
+//! a per-page decode cache, the CPU interpreter, and deterministic cycle
+//! accounting.
 //!
 //! The VM executes SOF binaries instruction by instruction. System calls
 //! trap to a [`SyscallHandler`] — the simulated kernel lives in

@@ -1,6 +1,6 @@
 //! The CPU interpreter.
 
-use asc_isa::{base_cycles, DecodeError, Instruction, Opcode, Reg};
+use asc_isa::{base_cycles, DecodeError, Opcode, Reg};
 use asc_object::Binary;
 
 use crate::memory::{MemFault, Memory};
@@ -218,15 +218,12 @@ impl<H: SyscallHandler> Machine<H> {
     /// Executes one instruction.
     pub fn step(&mut self) -> StepOutcome {
         use Opcode::*;
-        let raw = match self.mem.fetch(self.pc) {
-            Ok(b) => b,
-            Err(f) => return StepOutcome::Done(RunOutcome::Fault(f)),
-        };
-        let instr = match Instruction::decode(raw) {
-            Ok(i) => i,
-            Err(error) => {
+        let instr = match self.mem.fetch_decoded(self.pc) {
+            Ok(Ok(i)) => i,
+            Ok(Err(error)) => {
                 return StepOutcome::Done(RunOutcome::BadInstruction { pc: self.pc, error })
             }
+            Err(f) => return StepOutcome::Done(RunOutcome::Fault(f)),
         };
         self.cycles += base_cycles(instr.op);
         self.instret += 1;

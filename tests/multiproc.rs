@@ -354,8 +354,7 @@ fn policy_state_replayed_across_pids_is_rejected() {
         .machine()
         .mem()
         .kread(cell, len)
-        .expect("A's policy cell is mapped")
-        .to_vec();
+        .expect("A's policy cell is mapped");
     sched
         .process_mut(b)
         .machine_mut()
@@ -884,5 +883,38 @@ fn gadget_pid_dies_alone_with_an_attributed_origin_kill() {
             let solo = &fleet[(proc.pid() as usize - 1) % fleet.len()].solo;
             assert_matches_solo(proc, solo, &format!("n={n} with a gadget peer"));
         }
+    }
+}
+
+/// Guest memory is paged and lazily zeroed, so a pid costs host memory
+/// only for the guest pages it touches. An N=1024 fleet built after an
+/// earlier one was dropped (so the allocator hands back dirty, recycled
+/// memory) holds exactly the resident pages the first fleet held, pid
+/// for pid, and every pid stays under a fixed page bound.
+#[test]
+fn fleet_guest_memory_is_bounded_and_allocator_independent() {
+    const N: usize = 1024;
+    /// 64 KiB of touched guest memory per pid, of the 8 MiB it maps
+    /// (bison, calc and tar touch at most 12 pages).
+    const MAX_PAGES_PER_PID: usize = 16;
+    let policy = SchedPolicy::SeededRandom(0x9A6E_5000);
+    let resident = || {
+        let mut sched = spawn_n(N, policy, 2_000);
+        sched.run();
+        sched
+            .processes()
+            .iter()
+            .map(|p| p.machine().mem().resident_pages())
+            .collect::<Vec<_>>()
+    };
+    let first = resident();
+    let second = resident();
+    assert_eq!(first, second, "resident pages depend on allocator history");
+    for (pid0, &pages) in first.iter().enumerate() {
+        assert!(
+            (1..=MAX_PAGES_PER_PID).contains(&pages),
+            "pid {}: {pages} resident pages",
+            pid0 + 1
+        );
     }
 }
