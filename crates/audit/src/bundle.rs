@@ -1,7 +1,7 @@
 //! The forensic bundle: serialization, digesting, and replay verdicts.
 
 use asc_core::json::Value;
-use asc_core::{pid_shard, CacheStats};
+use asc_core::CacheStats;
 use asc_kernel::KernelStats;
 use asc_sched::{AuditLog, Pid, Scheduler};
 
@@ -12,11 +12,7 @@ use crate::{
 };
 
 /// Bundle schema identifier (bumped on incompatible layout changes).
-pub const BUNDLE_SCHEMA: &str = "asc-audit-bundle/v1";
-
-/// Shard count used for the victim's cache-shard attribution (matches the
-/// fleet benchmark's `FLEET_SHARDS`).
-const AUDIT_SHARDS: usize = 64;
+pub const BUNDLE_SCHEMA: &str = "asc-audit-bundle/v2";
 
 /// The kill a bundle reproduces, with every comparison target replay
 /// checks bit-identically.
@@ -124,7 +120,7 @@ fn cache_to_value(c: &CacheStats) -> Value {
 
 /// One forensic bundle: a [`Scenario`] (how to reproduce the run), a
 /// [`KillRecord`] (what replay must match), the victim's forensic payload
-/// (last spans, counters, cache-shard stats, ring accounting), and — for
+/// (last spans, counters, cache stats, ring accounting), and — for
 /// fleets — the scheduling context around the kill.
 #[derive(Clone, Debug)]
 pub struct Bundle {
@@ -165,10 +161,6 @@ impl Bundle {
         let victim = Value::Object(vec![
             ("stats".into(), stats_to_value(&run.stats)),
             ("cache".into(), cache_to_value(&run.cache)),
-            (
-                "cache_shard".into(),
-                num(pid_shard(alert.pid, AUDIT_SHARDS) as u64),
-            ),
             (
                 "spans".into(),
                 Value::Array(
@@ -229,10 +221,6 @@ impl Bundle {
             ("stats".into(), stats_to_value(&pid_audit.stats)),
             ("cache".into(), cache_to_value(&proc.kernel().cache_stats())),
             (
-                "cache_shard".into(),
-                num(pid_shard(victim, AUDIT_SHARDS) as u64),
-            ),
-            (
                 "spans".into(),
                 Value::Array(
                     pid_audit
@@ -264,13 +252,6 @@ impl Bundle {
         let schedule = Value::Object(vec![
             ("sched_seed".into(), hex64(scenario.sched_seed)),
             ("slice_instrs".into(), num(scenario.slice_instrs)),
-            (
-                "batch_depth".into(),
-                scenario
-                    .batch_depth
-                    .map(|d| num(d as u64))
-                    .unwrap_or(Value::Null),
-            ),
             ("procs".into(), num(scenario.procs.len() as u64)),
             ("window_start".into(), num(lo as u64)),
             ("window".into(), Value::Array(window)),

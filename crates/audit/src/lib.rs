@@ -7,7 +7,7 @@
 //!
 //! * a [`Bundle`] serializes *everything* an operator needs about a kill —
 //!   the victim's last spans with per-check AES-block partitions, the
-//!   structured alert and reason code, policy-counter state, cache-shard
+//!   structured alert and reason code, policy-counter state, verify-cache
 //!   stats, ring drop accounting, and (for fleets) the scheduler seed and
 //!   the interleaving window around the kill — as `asc_core::json`, with
 //!   an FNV-64 digest over the rendered bytes;

@@ -468,8 +468,6 @@ pub struct FleetScenario {
     pub slice_instrs: u64,
     /// Per-process cycle budget.
     pub budget_cycles: u64,
-    /// Kernel batch-window depth, if batching.
-    pub batch_depth: Option<usize>,
     /// A trap fault armed on one pid's kernel before the run.
     pub fault: Option<(Pid, TrapFault)>,
 }
@@ -497,12 +495,6 @@ impl FleetScenario {
             ("slice_instrs".into(), num(self.slice_instrs)),
             ("budget_cycles".into(), num(self.budget_cycles)),
             (
-                "batch_depth".into(),
-                self.batch_depth
-                    .map(|d| num(d as u64))
-                    .unwrap_or(Value::Null),
-            ),
-            (
                 "fault".into(),
                 self.fault
                     .as_ref()
@@ -529,10 +521,6 @@ impl FleetScenario {
                     .ok_or_else(|| "proc entry is not a string".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let batch_depth = match field(value, "batch_depth")? {
-            Value::Null => None,
-            v => Some(parse_usize(v)?),
-        };
         let fault = match field(value, "fault")? {
             Value::Null => None,
             v => {
@@ -552,13 +540,12 @@ impl FleetScenario {
             sched_seed: u64_field(value, "sched_seed")?,
             slice_instrs: u64_field(value, "slice_instrs")?,
             budget_cycles: u64_field(value, "budget_cycles")?,
-            batch_depth,
             fault,
         })
     }
 
-    /// Builds, installs, and spawns the fleet (shared verify cache, one
-    /// kernel per pid, the fault armed), without running any slice.
+    /// Builds, installs, and spawns the fleet (one kernel with its own
+    /// verify cache per pid, the fault armed), without running any slice.
     ///
     /// # Panics
     ///
@@ -584,11 +571,10 @@ impl FleetScenario {
             let flow = self.tier.checks_flow().then(|| flow_graph_of(&auth, &key));
             built.push((name.clone(), spec, auth, flow));
         }
-        let mut sched = Scheduler::with_shared_cache(SchedConfig {
+        let mut sched = Scheduler::new(SchedConfig {
             policy: SchedPolicy::SeededRandom(self.sched_seed),
             slice_instrs: self.slice_instrs,
             budget_cycles: self.budget_cycles,
-            batch_depth: self.batch_depth,
         });
         for name in &self.procs {
             let (_, spec, auth, flow) =
@@ -643,11 +629,4 @@ impl FleetScenario {
         }
         sched
     }
-}
-
-fn parse_usize(value: &Value) -> Result<usize, String> {
-    value
-        .as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| "expected a number".to_string())
 }

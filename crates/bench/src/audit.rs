@@ -26,8 +26,7 @@ use asc_sched::{AuditLog, Pid, ProcState, RecorderConfig, Scheduler};
 use asc_workloads::RUN_BUDGET;
 
 /// The demo fleet: eight processes over the paper's three policy
-/// workloads, a seeded random interleaving, kernel batch windows, and an
-/// epoch-counter skew armed on pid 2's fifth trap (a fault the verifier
+/// workloads, a seeded random interleaving, and an epoch-counter skew armed on pid 2's fifth trap (a fault the verifier
 /// always catches, so the kill is deterministic).
 pub fn demo_scenario() -> FleetScenario {
     FleetScenario {
@@ -44,7 +43,6 @@ pub fn demo_scenario() -> FleetScenario {
         sched_seed: 0x0AD1_75ED,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: Some(4),
         fault: Some((
             DEMO_VICTIM,
             TrapFault {
@@ -324,11 +322,10 @@ pub fn render_audit(report: &AuditReport) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "fleet: {} procs  sched_seed={:#x}  slice={}  batch={:?}  tier={}",
+        "fleet: {} procs  sched_seed={:#x}  slice={}  tier={}",
         s.procs.len(),
         s.sched_seed,
         s.slice_instrs,
-        s.batch_depth,
         s.tier.name()
     );
     let _ = writeln!(

@@ -8,7 +8,7 @@
 //! silent corruption and fails the campaign (non-zero exit).
 //!
 //! A second section runs the cross-process classes: one pid of a
-//! scheduled fleet is perturbed (shared-cache poisoning, counter skew)
+//! scheduled fleet is perturbed (verify-cache poisoning, counter skew)
 //! and every peer must stay bit-identical — any cross-pid leak fails
 //! the campaign.
 //!

@@ -1,14 +1,12 @@
 //! Multi-process server throughput benchmark: M concurrent processes over
 //! the syscall-heavy workloads, time-sliced deterministically, each with
-//! its own enforcing kernel and a pid namespace in the shared verify
-//! cache. Reports aggregate verified calls per simulated second plus
+//! its own enforcing kernel and private verify cache. Reports aggregate verified calls per simulated second plus
 //! per-pid verify-cycle quantiles.
 //!
 //! With `--fleet` the harness switches to the fleet-scale scenario:
-//! spawn/exit churn, hot/cold workload mix, pid-sharded cache namespaces,
-//! the batched trap path, and a per-shard report (see
-//! `asc_bench::fleet`). `--procs`/`--seed`/`--slice` apply to both;
-//! `--batch` and `--churn` are fleet-only.
+//! spawn/exit churn, a hot/cold workload mix, and a fleet-wide report
+//! (see `asc_bench::fleet`). `--procs`/`--seed`/`--slice` apply to both;
+//! `--churn` is fleet-only.
 //!
 //! Both default configurations are fully fixed-seed: their outputs are
 //! pinned at `crates/bench/golden/server.txt` and
@@ -18,14 +16,14 @@
 //! ```text
 //! cargo run --release -p asc-bench --bin server -- \
 //!     [--fleet] [--procs N] [--seed N] [--slice N] [--round-robin] \
-//!     [--batch N] [--churn N] [--json]
+//!     [--churn N] [--json]
 //! ```
 
 use asc_bench::fleet::{fleet_to_value, render_fleet, run_fleet, FleetConfig};
 use asc_bench::server::{render_server, run_server, server_to_value, ServerConfig, ServerMode};
 
 const SERVER_USAGE: &str =
-    "[--fleet] [--procs N] [--seed N] [--slice N] [--batch K] [--churn N] [--round-robin] [--json]";
+    "[--fleet] [--procs N] [--seed N] [--slice N] [--churn N] [--round-robin] [--json]";
 
 fn main() {
     let mut config = ServerConfig::default();
@@ -50,11 +48,6 @@ fn main() {
                 let value = args.next().expect("--slice needs a value");
                 config.slice_instrs = value.parse().expect("--slice needs a number");
                 fleet_config.slice_instrs = config.slice_instrs;
-            }
-            "--batch" => {
-                let value = args.next().expect("--batch needs a value");
-                let depth: usize = value.parse().expect("--batch needs a number");
-                fleet_config.batch_depth = (depth > 0).then_some(depth);
             }
             "--churn" => {
                 let value = args.next().expect("--churn needs a value");

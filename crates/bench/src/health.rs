@@ -3,8 +3,8 @@
 //! Two sections, both pure functions of the seed:
 //!
 //! 1. **Healthy-fleet dashboard** — a monitored fleet (every kernel at
-//!    the strongest tier, metrics registries attached, shared verify
-//!    cache, batched trap path) driven to completion with an
+//!    the strongest tier with its own verify cache, metrics registries
+//!    attached) driven to completion with an
 //!    [`asc_sentinel::Sentinel`] sampling on slice boundaries. The
 //!    per-window table shows every derived series the detectors watch,
 //!    and the SLO section proves the whole default suite stayed quiet.
@@ -87,11 +87,10 @@ impl HealthRun {
 
 fn spawn_monitored_fleet(config: &HealthConfig) -> Scheduler {
     let personality = Personality::Linux;
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy: SchedPolicy::SeededRandom(config.seed),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: Some(8),
     });
     for copy in 0..2u16 {
         for (i, name) in HEALTH_WORKLOADS.iter().enumerate() {
@@ -159,7 +158,7 @@ pub fn render_health(run: &HealthRun) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>6} {:>8} {:>7} {:>7} {:>9} {:>6} {:>6}",
+        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6}",
         "window",
         "start",
         "end",
@@ -168,15 +167,13 @@ pub fn render_health(run: &HealthRun) -> String {
         "warm",
         "vc/call",
         "p99-vc",
-        "probes",
-        "batchfil",
         "alerts",
         "live",
     );
     for w in &run.windows {
         let _ = writeln!(
             out,
-            "{:>6} {:>9} {:>9} {:>8} {:>8} {:>6} {:>8} {:>7} {:>7} {:>9} {:>6} {:>6}",
+            "{:>6} {:>9} {:>9} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>6}",
             w.index,
             w.start,
             w.end,
@@ -185,8 +182,6 @@ pub fn render_health(run: &HealthRun) -> String {
             ratio_cell(Series::WarmHitRatio.value(w)),
             ratio_cell(Series::VerifyCyclesPerCall.value(w)),
             w.verify_p99.map(|p| p.to_string()).unwrap_or("-".into()),
-            w.probes,
-            ratio_cell(Series::BatchFill.value(w)),
             w.alerts_total,
             w.live,
         );

@@ -6,8 +6,7 @@
 //! the syscall-heavy policy workloads, time-sliced by the deterministic
 //! [`Scheduler`] (seeded-random interleaving by default), each with its own
 //! enforcing kernel, per-pid metrics registry
-//! ([`KernelMetrics::for_pid`]), and a pid namespace inside one shared
-//! [`asc_core::SharedVerifyCache`]. The report gives aggregate verified
+//! ([`KernelMetrics::for_pid`]), and private verify cache. The report gives aggregate verified
 //! calls per simulated second plus per-pid verify-cycle quantiles, and
 //! feeds the `perf` trajectory (`BENCH_4.json`) via
 //! [`crate::perf::measure_server`].
@@ -40,8 +39,8 @@ pub enum ServerMode {
     Base,
     /// Enforcing kernels, no verify cache (paper-faithful cost).
     Cold,
-    /// Enforcing kernels with the shared pid-aware verify cache — the
-    /// actual server scenario, and what the `server` bin reports.
+    /// Enforcing kernels, each with its own verify cache — the actual
+    /// server scenario, and what the `server` bin reports.
     Warm,
 }
 
@@ -93,7 +92,7 @@ pub struct ServerRow {
     pub syscalls: u64,
     /// Calls that went through ASC verification.
     pub verified: u64,
-    /// Verifications served warm from this pid's cache namespace.
+    /// Verifications served warm from this pid's verify cache.
     pub cache_hits: u64,
     /// Per-call verify-cycle quantiles from this pid's own metrics
     /// registry (all paths merged; 0 in base mode).
@@ -185,17 +184,11 @@ pub fn run_server(config: &ServerConfig, mode: ServerMode) -> ServerRun {
     } else {
         SchedPolicy::SeededRandom(config.seed)
     };
-    let sched_config = SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy,
         slice_instrs: config.slice_instrs,
         budget_cycles: asc_workloads::RUN_BUDGET,
-        batch_depth: None,
-    };
-    let mut sched = if mode == ServerMode::Warm {
-        Scheduler::with_shared_cache(sched_config)
-    } else {
-        Scheduler::new(sched_config)
-    };
+    });
 
     for m in 0..config.procs {
         let i = m % specs.len();

@@ -29,15 +29,15 @@
 //! A cached acceptance is therefore exactly the set of inputs the cold path
 //! accepts; the cache changes cycle accounting, never the accept set.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use asc_crypto::{Mac, POLICY_STATE_LEN};
 
 /// SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche.
 ///
-/// Both the pid → shard map and the fault-target draw need a *deterministic*
-/// spread of structured inputs (sequential pids, campaign selectors built
-/// from small factors) over a small range. Feeding the raw value into a
+/// Both the recorder's pid sampler and the fault-target draw need a
+/// *deterministic* spread of structured inputs (sequential pids, campaign
+/// selectors built from small factors) over a small range. Feeding the raw value into a
 /// modulo would concentrate structured inputs on the low indices; mixing
 /// first makes every output bit depend on every input bit.
 #[inline]
@@ -62,17 +62,6 @@ pub fn mix64(mut x: u64) -> u64 {
 fn bounded_draw(selector: u64, bound: usize) -> usize {
     debug_assert!(bound > 0);
     ((u128::from(mix64(selector)) * bound as u128) >> 64) as usize
-}
-
-/// The shard a pid's cache namespace lives in, for a family of
-/// `shard_count` shards. Pure function of `(pid, shard_count)` — every
-/// component (kernel, metrics labels, fleet harness) that needs a pid's
-/// shard derives it from here, so the assignment can never drift between
-/// layers.
-#[inline]
-pub fn pid_shard(pid: u32, shard_count: usize) -> usize {
-    debug_assert!(shard_count > 0);
-    ((u128::from(mix64(u64::from(pid))) * shard_count as u128) >> 64) as usize
 }
 
 /// Counters describing how the verified-call cache behaved.
@@ -359,211 +348,6 @@ impl VerifyCache {
     }
 }
 
-/// A pid-keyed family of [`VerifyCache`]s for multi-process kernels.
-///
-/// The paper's verifier is per-process: the policy-state MAC is keyed by a
-/// per-process counter and the kernel maps pid → installed policy. The
-/// cache must honour the same boundary — an entry verified under pid A's
-/// counter epoch means nothing under pid B's, and a kill or exec of pid A
-/// must never invalidate (or worse, *serve*) pid B's entries. Rather than
-/// tagging every key with a pid inside one map, each pid gets its own
-/// [`VerifyCache`] namespace: cross-pid sharing is then impossible by
-/// construction, and dropping a dead pid's entries is O(1) on everyone
-/// else.
-///
-/// A scheduler owns one of these behind `Rc<RefCell<…>>` and hands the
-/// handle to every kernel it spawns (`asc_kernel::Kernel::share_cache`);
-/// each trap then operates on the calling pid's namespace only.
-///
-/// # Sharding
-///
-/// The family is split into [`SharedVerifyCache::DEFAULT_SHARDS`] shards
-/// keyed by [`pid_shard`], so a pid-keyed lookup walks a map holding only
-/// `live_pids / shards` namespaces: per-call work stays O(1) as the fleet
-/// grows instead of O(log N) over every live pid. Sharding is pure routing
-/// — a pid's namespace is the same [`VerifyCache`] state machine wherever
-/// it lives, so hits, epochs, scrubs, and the accept set are bit-identical
-/// to the unsharded family, and isolation proofs reduce to "two distinct
-/// pids never alias a namespace", which holds per shard map exactly as it
-/// held for the single map.
-///
-/// Each shard also counts its hot-path *probes* (pid-keyed traversals:
-/// [`SharedVerifyCache::pid_cache`], [`SharedVerifyCache::detach_pid`],
-/// [`SharedVerifyCache::attach_pid`]). The batched trap path uses
-/// detach/attach to touch the shared structure twice per batch window
-/// instead of once per call; the probe counters make that amortization
-/// measurable without perturbing any per-pid statistic.
-#[derive(Clone, Debug)]
-pub struct SharedVerifyCache {
-    shards: Vec<Shard>,
-}
-
-#[derive(Clone, Debug, Default)]
-struct Shard {
-    caches: BTreeMap<u32, VerifyCache>,
-    probes: u64,
-}
-
-impl Default for SharedVerifyCache {
-    fn default() -> Self {
-        SharedVerifyCache::new()
-    }
-}
-
-impl SharedVerifyCache {
-    /// Default shard count. 64 keeps shard maps near-singleton up to a few
-    /// hundred pids while bounding per-shard metric cardinality in fleet
-    /// runs.
-    pub const DEFAULT_SHARDS: usize = 64;
-
-    /// An empty cache family with the default shard count.
-    pub fn new() -> SharedVerifyCache {
-        SharedVerifyCache::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// An empty cache family split into `shards` shards (minimum 1).
-    pub fn with_shards(shards: usize) -> SharedVerifyCache {
-        SharedVerifyCache {
-            shards: vec![Shard::default(); shards.max(1)],
-        }
-    }
-
-    /// Number of shards in this family.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `pid`'s namespace routes to (see [`pid_shard`]).
-    pub fn shard_of(&self, pid: u32) -> usize {
-        pid_shard(pid, self.shards.len())
-    }
-
-    /// The cache namespace for `pid`, created empty on first use.
-    pub fn pid_cache(&mut self, pid: u32) -> &mut VerifyCache {
-        let idx = pid_shard(pid, self.shards.len());
-        let shard = &mut self.shards[idx];
-        shard.probes += 1;
-        shard.caches.entry(pid).or_default()
-    }
-
-    /// Read-only view of `pid`'s namespace, if it has one.
-    pub fn get(&self, pid: u32) -> Option<&VerifyCache> {
-        self.shards[self.shard_of(pid)].caches.get(&pid)
-    }
-
-    /// Removes `pid`'s namespace from the family and hands it to the
-    /// caller, creating it empty on first use exactly like
-    /// [`SharedVerifyCache::pid_cache`]. The batched trap path detaches a
-    /// pid's namespace once per batch window, drains every queued call
-    /// against the local copy, and reattaches on window close — the same
-    /// state machine, probed twice per window instead of once per call.
-    pub fn detach_pid(&mut self, pid: u32) -> VerifyCache {
-        let idx = pid_shard(pid, self.shards.len());
-        let shard = &mut self.shards[idx];
-        shard.probes += 1;
-        shard.caches.remove(&pid).unwrap_or_default()
-    }
-
-    /// Returns a namespace taken by [`SharedVerifyCache::detach_pid`].
-    pub fn attach_pid(&mut self, pid: u32, cache: VerifyCache) {
-        let idx = pid_shard(pid, self.shards.len());
-        let shard = &mut self.shards[idx];
-        shard.probes += 1;
-        shard.caches.insert(pid, cache);
-    }
-
-    /// Drops `pid`'s namespace wholesale (kill or exec). Every other pid's
-    /// entries — and their epochs and statistics — are untouched.
-    pub fn drop_pid(&mut self, pid: u32) {
-        let shard = self.shard_of(pid);
-        self.shards[shard].caches.remove(&pid);
-    }
-
-    /// Behaviour counters for `pid`'s namespace (zero if it has none).
-    pub fn pid_stats(&self, pid: u32) -> CacheStats {
-        self.get(pid).map(|c| c.stats()).unwrap_or_default()
-    }
-
-    /// Behaviour counters summed over every live namespace. Namespaces
-    /// dropped by [`SharedVerifyCache::drop_pid`] no longer contribute.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            for cache in shard.caches.values() {
-                let s = cache.stats();
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.blob_hits += s.blob_hits;
-                total.state_hits += s.state_hits;
-                total.evictions += s.evictions;
-                total.stale_misses += s.stale_misses;
-                total.scrubs += s.scrubs;
-            }
-        }
-        total
-    }
-
-    /// Behaviour counters summed over the namespaces living in one shard.
-    pub fn shard_stats(&self, shard: usize) -> CacheStats {
-        let mut total = CacheStats::default();
-        for cache in self.shards[shard].caches.values() {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.blob_hits += s.blob_hits;
-            total.state_hits += s.state_hits;
-            total.evictions += s.evictions;
-            total.stale_misses += s.stale_misses;
-            total.scrubs += s.scrubs;
-        }
-        total
-    }
-
-    /// Hot-path probe count for one shard (pid-keyed traversals of that
-    /// shard's map; observability only, never part of per-pid outputs).
-    pub fn shard_probes(&self, shard: usize) -> u64 {
-        self.shards[shard].probes
-    }
-
-    /// Hot-path probes summed over all shards.
-    pub fn probes(&self) -> u64 {
-        self.shards.iter().map(|s| s.probes).sum()
-    }
-
-    /// Number of live namespaces in one shard.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].caches.len()
-    }
-
-    /// The pids that currently hold a namespace, in ascending order.
-    pub fn pids(&self) -> Vec<u32> {
-        let mut pids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.caches.keys().copied())
-            .collect();
-        pids.sort_unstable();
-        pids
-    }
-
-    /// Fault-injection hook: corrupts one entry inside *`pid`'s* namespace
-    /// (see [`VerifyCache::corrupt_entry_for_fault`]). Cross-process
-    /// campaigns use this to poison a victim pid's entries and then assert
-    /// every other pid is bit-identical to its clean run.
-    pub fn corrupt_pid_entry_for_fault(
-        &mut self,
-        pid: u32,
-        selector: u64,
-        mask: u8,
-    ) -> Option<&'static str> {
-        let shard = self.shard_of(pid);
-        self.shards[shard]
-            .caches
-            .get_mut(&pid)
-            .and_then(|c| c.corrupt_entry_for_fault(selector, mask))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,100 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_keeps_pids_apart() {
-        let mut shared = SharedVerifyCache::new();
-        let mac = [7u8; 16];
-        shared.pid_cache(1).record_call(0x1000, b"enc", &mac);
-        shared
-            .pid_cache(1)
-            .record_state(0x3000, [3u8; POLICY_STATE_LEN], 5);
-        // pid 2 never sees pid 1's entries, even for identical keys.
-        assert!(!shared.pid_cache(2).check_call(0x1000, b"enc", &mac));
-        assert!(!shared
-            .pid_cache(2)
-            .check_state(0x3000, &[3u8; POLICY_STATE_LEN], 5));
-        // pid 1's own entries still hit.
-        assert!(shared.pid_cache(1).check_call(0x1000, b"enc", &mac));
-        assert_eq!(shared.pid_cache(1).state_epoch(), Some(5));
-        assert_eq!(shared.pid_cache(2).state_epoch(), None);
-    }
-
-    #[test]
-    fn shared_cache_drop_pid_is_isolated() {
-        let mut shared = SharedVerifyCache::new();
-        let mac = [7u8; 16];
-        shared.pid_cache(1).record_call(0x1000, b"enc", &mac);
-        shared.pid_cache(2).record_call(0x1000, b"enc", &mac);
-        shared
-            .pid_cache(2)
-            .record_state(0x3000, [3u8; POLICY_STATE_LEN], 9);
-        shared.drop_pid(1);
-        assert!(shared.get(1).is_none(), "pid 1's namespace is gone");
-        // pid 2's namespace (entries, epoch, stats) is untouched.
-        assert!(shared.pid_cache(2).check_call(0x1000, b"enc", &mac));
-        assert_eq!(shared.pid_cache(2).state_epoch(), Some(9));
-        assert_eq!(shared.pids(), vec![2]);
-    }
-
-    #[test]
-    fn shared_cache_corruption_targets_one_pid() {
-        let mut shared = SharedVerifyCache::new();
-        let mac = [7u8; 16];
-        shared.pid_cache(1).record_call(0x1000, b"enc", &mac);
-        shared.pid_cache(2).record_call(0x1000, b"enc", &mac);
-        assert_eq!(shared.corrupt_pid_entry_for_fault(1, 0, 0x40), Some("call"));
-        assert!(
-            !shared.pid_cache(1).check_call(0x1000, b"enc", &mac),
-            "victim falls back"
-        );
-        assert!(
-            shared.pid_cache(2).check_call(0x1000, b"enc", &mac),
-            "bystander still warm"
-        );
-        assert_eq!(shared.corrupt_pid_entry_for_fault(3, 0, 1), None);
-        let agg = shared.stats();
-        assert_eq!(agg.hits, 1);
-        assert_eq!(agg.stale_misses, 1);
-    }
-
-    /// Two pids that map to the same shard, found by scanning upward from
-    /// pid 1 under the default shard count.
-    fn same_shard_pair() -> (u32, u32) {
-        let first = 1u32;
-        let shard = pid_shard(first, SharedVerifyCache::DEFAULT_SHARDS);
-        let second = (2..)
-            .find(|&p| pid_shard(p, SharedVerifyCache::DEFAULT_SHARDS) == shard)
-            .expect("some pid shares shard 0's slot");
-        (first, second)
-    }
-
-    /// Two pids that map to different shards.
-    fn cross_shard_pair() -> (u32, u32) {
-        let first = 1u32;
-        let shard = pid_shard(first, SharedVerifyCache::DEFAULT_SHARDS);
-        let second = (2..)
-            .find(|&p| pid_shard(p, SharedVerifyCache::DEFAULT_SHARDS) != shard)
-            .expect("pids spread over more than one shard");
-        (first, second)
-    }
-
-    #[test]
-    fn pid_shard_is_deterministic_total_and_spread() {
-        for shards in [1usize, 3, 64, 1024] {
-            for pid in 1..=2048u32 {
-                let s = pid_shard(pid, shards);
-                assert!(s < shards);
-                assert_eq!(s, pid_shard(pid, shards), "pure function of (pid, count)");
-            }
-        }
-        // Sequential pids do not pile onto one shard: 256 pids over 64
-        // shards must populate a healthy majority of them.
-        let used: std::collections::BTreeSet<usize> =
-            (1..=256u32).map(|p| pid_shard(p, 64)).collect();
-        assert!(used.len() >= 48, "only {} shards used", used.len());
-    }
-
-    #[test]
     fn bounded_draw_spreads_structured_selectors() {
         // The old `selector % total` sent the campaign's structured
         // selectors (small multiples) disproportionately to low indices.
@@ -810,115 +500,6 @@ mod tests {
             seen.insert(pick);
         }
         assert_eq!(seen.len(), bound, "structured selectors reach all indices");
-    }
-
-    #[test]
-    fn shared_cache_routes_pids_by_shard_and_lists_all() {
-        let mut shared = SharedVerifyCache::new();
-        assert_eq!(shared.shard_count(), SharedVerifyCache::DEFAULT_SHARDS);
-        for pid in 1..=200u32 {
-            shared
-                .pid_cache(pid)
-                .record_call(0x1000 + pid, b"enc", &[7u8; 16]);
-        }
-        assert_eq!(shared.pids(), (1..=200).collect::<Vec<u32>>());
-        let per_shard: usize = (0..shared.shard_count()).map(|s| shared.shard_len(s)).sum();
-        assert_eq!(per_shard, 200, "every namespace lives in exactly one shard");
-        for pid in 1..=200u32 {
-            assert_eq!(
-                shared.shard_of(pid),
-                pid_shard(pid, SharedVerifyCache::DEFAULT_SHARDS)
-            );
-            assert!(shared.get(pid).is_some());
-        }
-    }
-
-    #[test]
-    fn same_shard_neighbours_stay_isolated() {
-        let (a, b) = same_shard_pair();
-        assert_eq!(
-            pid_shard(a, SharedVerifyCache::DEFAULT_SHARDS),
-            pid_shard(b, SharedVerifyCache::DEFAULT_SHARDS)
-        );
-        let mac = [7u8; 16];
-        let mut shared = SharedVerifyCache::new();
-        // Capacity eviction in a's namespace never touches b's entries.
-        *shared.pid_cache(a) = VerifyCache::with_capacity(2);
-        shared.pid_cache(b).record_call(0x1000, b"keep", &mac);
-        shared
-            .pid_cache(b)
-            .record_state(0x3000, [3u8; POLICY_STATE_LEN], 9);
-        for site in 0..3u32 {
-            shared.pid_cache(a).record_call(site, b"spam", &mac);
-        }
-        assert!(shared.pid_stats(a).evictions > 0, "a overflowed");
-        assert!(shared.pid_cache(b).check_call(0x1000, b"keep", &mac));
-        assert_eq!(shared.pid_cache(b).state_epoch(), Some(9));
-        // Epoch scrub in a's namespace is scoped to a.
-        shared
-            .pid_cache(a)
-            .record_state(0x3000, [1u8; POLICY_STATE_LEN], 4);
-        assert!(shared.pid_cache(a).skew_state_epoch_for_fault(5));
-        assert!(!shared
-            .pid_cache(a)
-            .check_state(0x3000, &[1u8; POLICY_STATE_LEN], 4));
-        assert_eq!(shared.pid_stats(a).scrubs, 1);
-        assert_eq!(shared.pid_stats(b).scrubs, 0);
-        assert_eq!(shared.pid_cache(b).state_epoch(), Some(9));
-        // Dropping a (kill / set_key) leaves its shard neighbour whole.
-        shared.drop_pid(a);
-        assert!(shared.get(a).is_none());
-        assert!(shared.pid_cache(b).check_call(0x1000, b"keep", &mac));
-        assert_eq!(shared.pids(), vec![b]);
-    }
-
-    #[test]
-    fn cross_shard_pids_stay_isolated() {
-        let (a, b) = cross_shard_pair();
-        let mac = [7u8; 16];
-        let mut shared = SharedVerifyCache::new();
-        shared.pid_cache(a).record_call(0x1000, b"enc", &mac);
-        shared.pid_cache(b).record_call(0x1000, b"enc", &mac);
-        shared.drop_pid(a);
-        assert!(shared.get(a).is_none());
-        assert!(shared.pid_cache(b).check_call(0x1000, b"enc", &mac));
-        let agg = shared.stats();
-        assert_eq!(agg.hits, 1);
-        assert_eq!(
-            shared.shard_stats(shared.shard_of(b)).hits,
-            1,
-            "hit attributed to b's shard"
-        );
-        assert_eq!(shared.shard_stats(shared.shard_of(a)).hits, 0);
-    }
-
-    #[test]
-    fn detach_attach_roundtrip_preserves_namespace() {
-        let mut shared = SharedVerifyCache::new();
-        let mac = [7u8; 16];
-        shared.pid_cache(3).record_call(0x1000, b"enc", &mac);
-        shared
-            .pid_cache(3)
-            .record_state(0x3000, [3u8; POLICY_STATE_LEN], 5);
-        let probes_before = shared.probes();
-        let mut local = shared.detach_pid(3);
-        assert!(shared.get(3).is_none(), "namespace left the family");
-        assert!(local.check_call(0x1000, b"enc", &mac));
-        local.record_blob(0x2000, &mac, b"/etc/motd");
-        shared.attach_pid(3, local);
-        assert_eq!(
-            shared.probes() - probes_before,
-            2,
-            "one detach + one attach"
-        );
-        assert!(shared.pid_cache(3).check_blob(0x2000, &mac, b"/etc/motd"));
-        assert_eq!(shared.pid_cache(3).state_epoch(), Some(5));
-        // Detaching a pid with no namespace yields a fresh one, exactly
-        // like pid_cache's create-on-first-use.
-        let fresh = shared.detach_pid(99);
-        assert!(fresh.is_empty());
-        shared.attach_pid(99, fresh);
-        assert_eq!(shared.pids(), vec![3, 99]);
     }
 
     #[test]

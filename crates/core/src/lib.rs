@@ -43,7 +43,7 @@ pub mod policy;
 pub mod sites;
 pub mod verify;
 
-pub use cache::{mix64, pid_shard, CacheStats, SharedVerifyCache, VerifyCache};
+pub use cache::{mix64, CacheStats, VerifyCache};
 pub use descriptor::PolicyDescriptor;
 pub use encoding::{encode_call, EncodedArg, EncodedCall};
 pub use flow::{FlowGraph, FlowParseError, FLOW_START};

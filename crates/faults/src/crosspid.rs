@@ -7,8 +7,7 @@
 //! Two classes extend the single-process campaign:
 //!
 //! * [`CrossFaultClass::CachePoisonAcrossPids`] — corrupt a verified-call
-//!   cache entry inside one pid's namespace of the [`asc_core::SharedVerifyCache`]
-//!   mid-schedule. The cache is an untrusted accelerator, so the target
+//!   cache entry inside one pid's private verify cache mid-schedule. The cache is an untrusted accelerator, so the target
 //!   must degrade gracefully (cold fallback, never a kill) and no other
 //!   pid may observe anything at all.
 //! * [`CrossFaultClass::CounterSkewOnePid`] — skew the in-kernel
@@ -38,8 +37,8 @@ use crate::campaign_key;
 /// A fault class that targets one process of a scheduled set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrossFaultClass {
-    /// Corrupt a cache entry in one pid's namespace of the shared
-    /// verified-call cache, mid-schedule.
+    /// Corrupt a cache entry in one pid's private verified-call cache,
+    /// mid-schedule.
     CachePoisonAcrossPids,
     /// Skew the anti-replay counter of one pid's kernel before one of
     /// its traps.
@@ -174,7 +173,7 @@ impl CrossReport {
                 CrossFaultClass::CachePoisonAcrossPids => {
                     if row.target_killed > 0 {
                         problems.push(format!(
-                            "{tag}: {} false-positive kill(s) — shared-cache \
+                            "{tag}: {} false-positive kill(s) — cache \
                              corruption must degrade gracefully",
                             row.target_killed
                         ));
@@ -303,13 +302,12 @@ fn build_fleet(cfg: &CrossConfig) -> Fleet {
     Fleet { specs, binaries }
 }
 
-/// Spawns the fleet under a fresh shared-cache scheduler.
+/// Spawns the fleet under a fresh scheduler.
 fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Scheduler {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy: SchedPolicy::SeededRandom(interleave_seed),
         slice_instrs: 10_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: None,
     });
     for m in 0..cfg.procs {
         let i = m % fleet.specs.len();
@@ -410,9 +408,9 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                 CrossFaultClass::CachePoisonAcrossPids => {
                     // Inject once, mid-schedule: after a seeded number of
                     // slices, flip one byte of one entry in the target
-                    // pid's namespace of the shared cache. Stepping the
-                    // scheduler manually keeps the injection point inside
-                    // the interleaving, where a namespace bug would show.
+                    // pid's verify cache. Stepping the scheduler manually
+                    // keeps the injection point inside the interleaving,
+                    // where an isolation bug would show.
                     let lo = clean.slices / 4;
                     let inject_at = rng.range_u64(lo, (clean.slices * 3 / 4).max(lo + 1));
                     let selector = rng.next_u64();
@@ -420,13 +418,10 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                     let mut slices = 0u64;
                     loop {
                         if slices == inject_at {
-                            let shared = sched
-                                .shared_cache()
-                                .expect("cross-pid scheduler owns the shared cache")
-                                .clone();
-                            landed = shared
-                                .borrow_mut()
-                                .corrupt_pid_entry_for_fault(target, selector, mask)
+                            landed = sched
+                                .process_mut(target)
+                                .kernel_mut()
+                                .corrupt_cache_entry_for_fault(selector, mask)
                                 .is_some();
                         }
                         if sched.step().is_none() {

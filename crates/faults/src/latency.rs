@@ -3,7 +3,7 @@
 //! to the first operator-visible health signal.
 //!
 //! For every [`FaultClass`] the campaign builds a small monitored fleet
-//! (victim plus background processes on a shared verify cache), draws a
+//! (victim plus background processes, each with its own verify cache), draws a
 //! seeded fault from the victim's artifact [`Inventory`] exactly like
 //! the main campaign, injects it mid-run at a recorded *arming clock*,
 //! and keeps an [`asc_sentinel::Sentinel`] observing on slice
@@ -336,11 +336,10 @@ fn spawn_fleet(
     personality: Personality,
     seed: u64,
 ) -> Scheduler {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy: SchedPolicy::SeededRandom(seed),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: None,
     });
     sched.spawn(
         workloads[victim_index].spec.name,

@@ -17,7 +17,7 @@
 //!   a failure), with VM-level crashes tracked separately.
 //!
 //! * [`crosspid`] scales the experiment to a scheduled multi-process
-//!   fleet: perturb exactly one pid (shared-cache poisoning, counter
+//!   fleet: perturb exactly one pid (verify-cache poisoning, counter
 //!   skew) and demand that no effect crosses a pid boundary.
 //!
 //! * [`tiers`] replays the campaign under every [`asc_kernel::VerifyTier`]

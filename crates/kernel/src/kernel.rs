@@ -7,12 +7,9 @@
 //! any [`Violation`] into fail-stop process termination plus an
 //! administrator alert.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use asc_core::{
-    verify_call_traced, AuthCallRegs, CacheStats, FlowGraph, SharedVerifyCache, SiteRegistry,
-    UserMemory, VerifyCache, VerifyHooks, VerifyOutcome, Violation, FLOW_START,
+    verify_call_traced, AuthCallRegs, CacheStats, FlowGraph, SiteRegistry, UserMemory, VerifyCache,
+    VerifyHooks, VerifyOutcome, Violation, FLOW_START,
 };
 use asc_crypto::{CapabilitySet, MacKey, MemoryChecker};
 use asc_isa::Reg;
@@ -23,7 +20,6 @@ use asc_vm::{MemFault, Memory, SyscallHandler, TrapContext, TrapOutcome};
 
 use crate::abi::{spec, Personality, SyscallId};
 use crate::alert::Alert;
-use crate::batch::{BatchSession, BatchStats};
 use crate::cost::CostModel;
 use crate::fs::FileSystem;
 use crate::metrics::{KernelMetrics, PATH_COLD, PATH_FALLBACK, PATH_SCRUB, PATH_WARM};
@@ -341,12 +337,10 @@ pub struct Kernel {
     pub(crate) brk: u32,
     pub(crate) mmap_cursor: u32,
     checker: MemoryChecker,
+    /// The verified-call cache. Private to this kernel, and there is one
+    /// kernel per process, so an entry can never serve (or invalidate)
+    /// another process's verification.
     verify_cache: VerifyCache,
-    /// Scheduler-owned pid-keyed cache family. When attached, the trap
-    /// handler uses this pid's namespace inside it instead of the private
-    /// `verify_cache`, so concurrent processes can never serve (or
-    /// invalidate) each other's entries.
-    shared_cache: Option<Rc<RefCell<SharedVerifyCache>>>,
     /// Process id, 1-based. Single-process harnesses keep the default 1
     /// (the historical alert rendering); a scheduler assigns real pids.
     pid: u32,
@@ -394,12 +388,6 @@ pub struct Kernel {
     metrics: Option<Box<KernelMetrics>>,
     /// Next span id to allocate (one span per enforced trap).
     next_span: u64,
-    /// Open batch window (submission ring + detached cache namespace),
-    /// `None` outside a window. See [`crate::batch`].
-    batch: Option<BatchSession>,
-    /// Lifetime counters for the batched path (never part of
-    /// [`KernelStats`]).
-    batch_stats: BatchStats,
     /// Bytes moved by the last I/O-style call (input to the cost model).
     pub(crate) last_io_bytes: u64,
 }
@@ -451,7 +439,6 @@ impl Kernel {
             mmap_cursor: 0x60_0000,
             checker: MemoryChecker::new(),
             verify_cache: VerifyCache::new(),
-            shared_cache: None,
             pid: 1,
             last_policy_cell: None,
             flow: None,
@@ -476,8 +463,6 @@ impl Kernel {
             trace_sink: None,
             metrics: None,
             next_span: 0,
-            batch: None,
-            batch_stats: BatchStats::default(),
             last_io_bytes: 0,
         }
     }
@@ -489,70 +474,17 @@ impl Kernel {
     pub fn set_key(&mut self, key: MacKey) {
         self.key = Some(key);
         self.verify_cache.clear();
-        // During a batch window this pid's shared namespace may be
-        // detached into the session; clear it wherever it lives.
-        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-            ns.clear();
-        } else if let Some(shared) = self.shared_cache.as_ref() {
-            shared.borrow_mut().pid_cache(self.pid).clear();
-        }
     }
 
     /// Behaviour counters of the verified-call cache (all zero when the
-    /// cache is disabled). With a shared cache attached, these are the
-    /// counters of this pid's namespace — wherever it currently lives
-    /// (detached into an open batch window or resident in the family).
+    /// cache is disabled).
     pub fn cache_stats(&self) -> CacheStats {
-        if let Some(ns) = self.batch.as_ref().and_then(|b| b.namespace.as_ref()) {
-            return ns.stats();
-        }
-        match self.shared_cache.as_ref() {
-            Some(shared) => shared.borrow().pid_stats(self.pid),
-            None => self.verify_cache.stats(),
-        }
+        self.verify_cache.stats()
     }
 
-    /// Opens a batch window of capacity `k`: until
-    /// [`Kernel::close_batch_window`], enforced calls submit to the
-    /// window's FIFO ring and drain against a cache namespace detached
-    /// from the shared family once per window instead of probed per call.
-    /// A scheduler brackets each slice with open/close; re-opening an
-    /// already-open window first flushes it. Per-pid outputs are
-    /// bit-identical with or without a window (see the `batch` module docs).
-    pub fn open_batch_window(&mut self, k: usize) {
-        self.flush_batch_namespace();
-        self.batch = Some(BatchSession::new(k));
-        self.batch_stats.opened += 1;
-    }
-
-    /// Closes the batch window, reattaching the detached namespace (if
-    /// any) to the shared family. Idempotent; a no-op when no window is
-    /// open.
-    pub fn close_batch_window(&mut self) {
-        self.flush_batch_namespace();
-        if self.batch.take().is_some() {
-            self.batch_stats.closed += 1;
-        }
-    }
-
-    /// Lifetime counters of the batched verification path.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch_stats
-    }
-
-    /// Reattaches the window's detached namespace (if any) and resets the
-    /// window's drain count. The ring must already be drained — every
-    /// submission drains within its own trap.
-    fn flush_batch_namespace(&mut self) {
-        if let Some(session) = self.batch.as_mut() {
-            debug_assert!(session.ring.is_empty(), "ring drained at window close");
-            session.drained_in_window = 0;
-            if let Some(ns) = session.namespace.take() {
-                if let Some(shared) = self.shared_cache.as_ref() {
-                    shared.borrow_mut().attach_pid(self.pid, ns);
-                }
-            }
-        }
+    /// Read-only view of this process's verified-call cache.
+    pub fn verify_cache(&self) -> &VerifyCache {
+        &self.verify_cache
     }
 
     /// Assigns this kernel's process id (1-based; the default is 1, which
@@ -567,14 +499,6 @@ impl Kernel {
     /// This kernel's process id.
     pub fn pid(&self) -> u32 {
         self.pid
-    }
-
-    /// Attaches a scheduler-owned pid-keyed cache family. The trap handler
-    /// then uses this kernel's pid namespace inside it instead of the
-    /// private per-kernel cache (still gated on
-    /// [`KernelOptions::verify_cache`]). Call after [`Kernel::set_pid`].
-    pub fn share_cache(&mut self, shared: Rc<RefCell<SharedVerifyCache>>) {
-        self.shared_cache = Some(shared);
     }
 
     /// The in-kernel anti-replay counter (the per-process nonce the
@@ -626,6 +550,18 @@ impl Kernel {
     /// fault can be armed at a time (campaigns inject exactly one per run).
     pub fn arm_fault(&mut self, fault: TrapFault) {
         self.fault = Some(fault);
+    }
+
+    /// Fault-injection hook: corrupts one entry of this process's verify
+    /// cache right now, between traps (see
+    /// [`VerifyCache::corrupt_entry_for_fault`]). Returns the kind of entry
+    /// corrupted, or `None` when the cache is empty.
+    pub fn corrupt_cache_entry_for_fault(
+        &mut self,
+        selector: u64,
+        mask: u8,
+    ) -> Option<&'static str> {
+        self.verify_cache.corrupt_entry_for_fault(selector, mask)
     }
 
     /// Replaces the cost model.
@@ -778,21 +714,6 @@ impl Kernel {
 
         // --- The paper's kernel modification: verify before dispatch. ---
         if self.opts.enforce {
-            // Batched path: at the first enforced cached call of an open
-            // batch window, detach this pid's namespace from the shared
-            // family (one probe). Every call in the window then drains
-            // against the local namespace — the shared structure is not
-            // touched again until the window closes and reattaches it.
-            if self.opts.verify_cache && self.opts.verify_tier.checks_mac() {
-                if let (Some(session), Some(shared)) =
-                    (self.batch.as_mut(), self.shared_cache.as_ref())
-                {
-                    if session.namespace.is_none() {
-                        session.namespace = Some(shared.borrow_mut().detach_pid(self.pid));
-                        self.batch_stats.windows += 1;
-                    }
-                }
-            }
             // Borrow the long-lived key: its AES round keys and CMAC
             // subkeys were expanded once at `set_key` time and are reused
             // for every trap (re-deriving the schedule per call would
@@ -864,65 +785,14 @@ impl Kernel {
                     FaultAction::SkewCounter { delta } => {
                         self.checker.skew_counter_for_fault(delta);
                     }
-                    // Cache faults target this pid's namespace wherever it
-                    // currently lives: detached into an open batch window,
-                    // resident in the shared family, or private.
                     FaultAction::CorruptCache { selector, mask } => {
-                        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-                            ns.corrupt_entry_for_fault(selector, mask);
-                        } else {
-                            match self.shared_cache.as_ref() {
-                                Some(shared) => {
-                                    shared
-                                        .borrow_mut()
-                                        .pid_cache(self.pid)
-                                        .corrupt_entry_for_fault(selector, mask);
-                                }
-                                None => {
-                                    self.verify_cache.corrupt_entry_for_fault(selector, mask);
-                                }
-                            }
-                        }
+                        self.verify_cache.corrupt_entry_for_fault(selector, mask);
                     }
                     FaultAction::SkewCacheEpoch { delta } => {
-                        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-                            ns.skew_state_epoch_for_fault(delta);
-                        } else {
-                            match self.shared_cache.as_ref() {
-                                Some(shared) => {
-                                    shared
-                                        .borrow_mut()
-                                        .pid_cache(self.pid)
-                                        .skew_state_epoch_for_fault(delta);
-                                }
-                                None => {
-                                    self.verify_cache.skew_state_epoch_for_fault(delta);
-                                }
-                            }
-                        }
+                        self.verify_cache.skew_state_epoch_for_fault(delta);
                     }
                 }
             }
-            // Submission ring: inside a batch window the authenticated
-            // call is queued and the ring drained FIFO within the same
-            // trap — submission order is program order, so batching can
-            // never reorder calls, and the drain below runs the complete
-            // check suite, so it can never skip one. Occupancy is 1 while
-            // guests are synchronous; the ring carries the ordering
-            // contract (and the counters) an asynchronous front end would
-            // rely on.
-            let regs = match self.batch.as_mut() {
-                Some(session) => {
-                    session.ring.push_back(regs);
-                    self.batch_stats.submitted += 1;
-                    self.batch_stats.max_depth =
-                        self.batch_stats.max_depth.max(session.ring.len() as u64);
-                    let next = session.ring.pop_front().expect("just submitted");
-                    self.batch_stats.drained += 1;
-                    next
-                }
-                None => regs,
-            };
             // The metrics registry needs the per-check partition too, so
             // the meter records whenever either consumer is attached.
             let metering = self.metrics.is_some();
@@ -999,38 +869,15 @@ impl Kernel {
             let hooks = VerifyHooks {
                 accept_any_string: self.opts.weaken_string_check,
             };
-            // Pick the cache the verifier consults: the namespace detached
-            // into the open batch window, this pid's namespace inside the
-            // scheduler-shared family, or the private per-kernel cache.
-            // Either way the before/after stats must come from the *same*
-            // cache so the fallback/scrub deltas attribute correctly.
-            let batching = self
-                .batch
-                .as_ref()
-                .is_some_and(|session| session.namespace.is_some());
-            let mut shared_guard = match (
-                self.opts.verify_cache && tier.checks_mac() && !batching,
-                self.shared_cache.as_ref(),
-            ) {
-                (true, Some(shared)) => Some(shared.borrow_mut()),
-                _ => None,
-            };
-            let cache = if !self.opts.verify_cache || !tier.checks_mac() {
-                None
-            } else if batching {
-                self.batch.as_mut().and_then(|b| b.namespace.as_mut())
-            } else {
-                match shared_guard.as_mut() {
-                    Some(guard) => Some(guard.pid_cache(self.pid)),
-                    None => Some(&mut self.verify_cache),
-                }
-            };
             // With no cache in play the stats are identically zero, so the
             // deltas below are zero too.
-            let cache_before = match cache.as_ref() {
-                Some(c) => c.stats(),
-                None => CacheStats::default(),
+            let caching = self.opts.verify_cache && tier.checks_mac();
+            let cache_before = if caching {
+                self.verify_cache.stats()
+            } else {
+                CacheStats::default()
             };
+            let cache = caching.then_some(&mut self.verify_cache);
             // Flow-only skips the MAC suite entirely: the digraph probe
             // above *is* the verification, and the outcome carries zero
             // AES blocks, zero bytes, and no cache participation.
@@ -1048,38 +895,15 @@ impl Kernel {
             } else {
                 Ok(VerifyOutcome::default())
             };
-            let cache_after = if batching {
-                self.batch
-                    .as_ref()
-                    .and_then(|b| b.namespace.as_ref())
-                    .map(|ns| ns.stats())
-                    .unwrap_or_default()
+            let cache_after = if caching {
+                self.verify_cache.stats()
             } else {
-                match shared_guard.as_ref() {
-                    Some(guard) => guard.pid_stats(self.pid),
-                    None => self.verify_cache.stats(),
-                }
+                CacheStats::default()
             };
-            drop(shared_guard);
             let fallback_delta = cache_after.stale_misses - cache_before.stale_misses;
             let scrub_delta = cache_after.scrubs - cache_before.scrubs;
             self.stats.cache_fallbacks += fallback_delta;
             self.stats.cache_scrubs += scrub_delta;
-            // Roll the batch window once its ring capacity worth of calls
-            // has drained: the namespace reattaches and the next call
-            // opens a fresh window. Pure bookkeeping — no per-pid output
-            // depends on where the window boundaries fall.
-            if let Some(session) = self.batch.as_mut() {
-                session.drained_in_window += 1;
-                if session.drained_in_window >= session.capacity {
-                    session.drained_in_window = 0;
-                    if let Some(ns) = session.namespace.take() {
-                        if let Some(shared) = self.shared_cache.as_ref() {
-                            shared.borrow_mut().attach_pid(self.pid, ns);
-                        }
-                    }
-                }
-            }
             match result {
                 Ok(outcome) => {
                     self.stats.verified += 1;
@@ -1332,17 +1156,6 @@ impl Kernel {
             name: self.opts.personality.name_of(nr).to_string(),
             violation: violation.clone(),
         };
-        // Fail-stop: this process is dead, so its namespace in a shared
-        // cache family is dropped — and *only* its namespace; every other
-        // pid's entries survive untouched. If the namespace is currently
-        // detached into a batch window, it dies there instead of being
-        // reattached at window close.
-        if let Some(session) = self.batch.as_mut() {
-            session.namespace = None;
-        }
-        if let Some(shared) = self.shared_cache.as_ref() {
-            shared.borrow_mut().drop_pid(self.pid);
-        }
         let msg = alert.to_string();
         if let Some(m) = self.metrics.as_mut() {
             let id = m.kills;

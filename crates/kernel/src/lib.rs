@@ -26,7 +26,6 @@
 
 pub mod abi;
 mod alert;
-mod batch;
 mod calls;
 pub mod cost;
 pub mod fs;
@@ -35,7 +34,6 @@ pub mod metrics;
 
 pub use abi::{spec, Personality, SyscallId, SyscallSpec, SPECS};
 pub use alert::Alert;
-pub use batch::BatchStats;
 pub use calls::oflags;
 pub use cost::CostModel;
 pub use fs::{FileSystem, FsError, Inode, InodeId, InodeKind};

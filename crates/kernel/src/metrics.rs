@@ -96,17 +96,6 @@ impl KernelMetrics {
         KernelMetrics::with_extra_labels(&[("pid", &pid)])
     }
 
-    /// A registry whose every metric carries a `shard="<shard>"` label.
-    /// Fleet harnesses label by the pid's cache shard
-    /// ([`asc_core::pid_shard`]) instead of by pid, so the merged
-    /// snapshot's cardinality is bounded by the shard count — per-shard
-    /// distributions stay addressable at N=1000+ processes without a
-    /// thousand pid label sets.
-    pub fn for_shard(shard: usize) -> KernelMetrics {
-        let shard = shard.to_string();
-        KernelMetrics::with_extra_labels(&[("shard", &shard)])
-    }
-
     /// Registers every trap-handler metric with `extra` prepended to each
     /// metric's own labels. The registry copies label strings, so `extra`
     /// may borrow temporaries.

@@ -17,18 +17,12 @@
 //!   deterministic execution. Same seed ⇒ bit-identical interleaving,
 //!   per-pid output, and aggregate stats.
 //! * **Isolation by construction** — nothing verifier-trusted is shared
-//!   mutably between processes except the optional
-//!   [`SharedVerifyCache`], which is pid-namespaced; each process's
-//!   counter, policy-state cell, cache epoch, alerts, and stats live in
-//!   its own kernel. The cross-process property tests
+//!   mutably between processes: each process's counter, policy-state
+//!   cell, verify cache, alerts, and stats live in its own kernel. The cross-process property tests
 //!   (`tests/multiproc.rs`) assert that any interleaving reproduces each
 //!   process's solo run byte-for-byte.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use asc_core::SharedVerifyCache;
-use asc_kernel::{BatchStats, Kernel, KernelStats};
+use asc_kernel::{Kernel, KernelStats};
 use asc_testkit::Rng;
 use asc_trace::RingSink;
 use asc_vm::{Machine, RunOutcome, StepOutcome};
@@ -64,13 +58,6 @@ pub struct SchedConfig {
     /// Per-process cycle budget; a process exceeding it is marked
     /// [`ProcState::Faulted`] rather than looping forever.
     pub budget_cycles: u64,
-    /// When `Some(k)`, every slice runs inside a kernel batch window of
-    /// depth `k`: enforced calls drain through the submission ring and the
-    /// pid's cache namespace is detached from the shared family for up to
-    /// `k` calls at a time (see `asc_kernel`'s batch module). Per-pid
-    /// outputs are bit-identical with batching on or off; only shared
-    /// probe traffic changes.
-    pub batch_depth: Option<usize>,
 }
 
 impl Default for SchedConfig {
@@ -79,7 +66,6 @@ impl Default for SchedConfig {
             policy: SchedPolicy::RoundRobin,
             slice_instrs: 10_000,
             budget_cycles: 3_000_000_000,
-            batch_depth: None,
         }
     }
 }
@@ -178,7 +164,6 @@ impl Process {
 pub struct Scheduler {
     config: SchedConfig,
     procs: Vec<Process>,
-    shared_cache: Option<Rc<RefCell<SharedVerifyCache>>>,
     rng: Option<Rng>,
     cursor: usize,
     clock: u64,
@@ -196,7 +181,6 @@ impl Scheduler {
             },
             config,
             procs: Vec::new(),
-            shared_cache: None,
             cursor: 0,
             clock: 0,
             interleaving: Vec::new(),
@@ -204,29 +188,11 @@ impl Scheduler {
         }
     }
 
-    /// A scheduler owning a pid-namespaced [`SharedVerifyCache`]; every
-    /// spawned kernel gets a handle and operates only on its own pid's
-    /// namespace (still gated on the kernel's `verify_cache` option).
-    pub fn with_shared_cache(config: SchedConfig) -> Scheduler {
-        let mut sched = Scheduler::new(config);
-        sched.shared_cache = Some(Rc::new(RefCell::new(SharedVerifyCache::new())));
-        sched
-    }
-
-    /// The shared cache family, if this scheduler owns one.
-    pub fn shared_cache(&self) -> Option<&Rc<RefCell<SharedVerifyCache>>> {
-        self.shared_cache.as_ref()
-    }
-
     /// Adds a process; returns its pid (assigned 1, 2, 3, … in spawn
-    /// order). Sets the kernel's pid and, when this scheduler owns a
-    /// shared cache, hands the kernel its handle.
+    /// order) and sets the kernel's pid.
     pub fn spawn(&mut self, name: &str, mut machine: Machine<Kernel>) -> Pid {
         let pid = (self.procs.len() + 1) as Pid;
         machine.handler_mut().set_pid(pid);
-        if let Some(shared) = self.shared_cache.as_ref() {
-            machine.handler_mut().share_cache(Rc::clone(shared));
-        }
         if let Some(rec) = self.recorder.as_mut() {
             if rec.config.samples(pid) {
                 rec.sampled.push(pid);
@@ -271,25 +237,13 @@ impl Scheduler {
         let stats_before = *proc.kernel().stats();
         let target = proc.machine.instret() + self.config.slice_instrs;
         let remaining = self.config.budget_cycles.saturating_sub(before).max(1);
-        if let Some(depth) = self.config.batch_depth {
-            proc.machine.handler_mut().open_batch_window(depth);
-        }
         let outcome = proc.machine.run_until_instret(target, remaining);
-        if self.config.batch_depth.is_some() {
-            // Close regardless of outcome: a killed/faulted process must
-            // not leave its namespace detached from the shared family.
-            proc.machine.handler_mut().close_batch_window();
-        }
         self.clock += proc.machine.cycles() - before;
         match outcome {
             StepOutcome::Running => {}
             StepOutcome::Done(RunOutcome::Exited(code)) => proc.state = ProcState::Exited(code),
             StepOutcome::Done(RunOutcome::Halted) => proc.state = ProcState::Exited(0),
-            StepOutcome::Done(RunOutcome::Killed(reason)) => {
-                // The kernel already dropped its shared-cache namespace in
-                // its fail-stop path; the scheduler only records the state.
-                proc.state = ProcState::Killed(reason);
-            }
+            StepOutcome::Done(RunOutcome::Killed(reason)) => proc.state = ProcState::Killed(reason),
             StepOutcome::Done(other) => proc.state = ProcState::Faulted(format!("{other:?}")),
         }
         if self.recorder.is_some() {
@@ -310,7 +264,6 @@ impl Scheduler {
                 clock_end: self.clock,
                 machine_start: before,
                 machine_end: proc.machine().cycles(),
-                batched: self.config.batch_depth.is_some(),
                 fallback_delta: stats_after.cache_fallbacks - stats_before.cache_fallbacks,
                 scrub_delta: stats_after.cache_scrubs - stats_before.cache_scrubs,
                 end: end.clone(),
@@ -370,17 +323,13 @@ impl Scheduler {
     }
 
     /// Externally kills `pid` (mid-slice from the other processes'
-    /// perspective): marks it [`ProcState::Killed`] and drops its
-    /// namespace from the shared cache, if any. Every other process's
-    /// counter, cache epoch, and policy state are untouched — the
-    /// isolation property tests assert exactly this.
+    /// perspective): marks it [`ProcState::Killed`]. Every other
+    /// process's counter, cache epoch, and policy state are untouched —
+    /// the isolation property tests assert exactly this.
     pub fn kill(&mut self, pid: Pid, reason: &str) {
         let idx = (pid - 1) as usize;
         assert!(idx < self.procs.len(), "no such pid {pid}");
         self.procs[idx].state = ProcState::Killed(reason.to_string());
-        if let Some(shared) = self.shared_cache.as_ref() {
-            shared.borrow_mut().drop_pid(pid);
-        }
         let clock = self.clock;
         if let Some(rec) = self.recorder.as_mut() {
             rec.kills.push(KillMark {
@@ -500,16 +449,6 @@ impl Scheduler {
     /// `(pid, stats)` for every process, in pid order.
     pub fn per_pid_stats(&self) -> Vec<(Pid, KernelStats)> {
         self.procs.iter().map(|p| (p.pid, p.stats())).collect()
-    }
-
-    /// Batch-path counters summed over every kernel (all zero unless
-    /// [`SchedConfig::batch_depth`] is set).
-    pub fn batch_stats(&self) -> BatchStats {
-        let mut total = BatchStats::default();
-        for proc in &self.procs {
-            total.absorb(&proc.kernel().batch_stats());
-        }
-        total
     }
 }
 

@@ -16,8 +16,8 @@
 //! At fleet scale (N = 1024) recording every pid costs N rings. The
 //! recorder instead samples pids *deterministically*: pid `p` is sampled
 //! iff `mix64(p ^ seed)` falls under a rational threshold
-//! (`sample_num / sample_den` of the 2^64 space, via the same widening
-//! multiply used by [`asc_core::pid_shard`]). Determinism means a replay
+//! (`sample_num / sample_den` of the 2^64 space, via a widening
+//! multiply). Determinism means a replay
 //! with the same seed samples the same pids; exactness is preserved
 //! because:
 //!
@@ -36,8 +36,7 @@
 //! [`SliceWindow`] per slice — `[machine_start, machine_end]` mapped to
 //! `[clock_start, clock_end]` — so harvesting translates every ring event
 //! to global time: `global = clock_start + (local - machine_start)`. The
-//! per-slice batch-window open/close and cache fallback/scrub deltas ride
-//! the same windows, giving one merged, causally-ordered timeline.
+//! per-slice cache fallback/scrub deltas ride the same windows, giving one merged, causally-ordered timeline.
 
 use std::collections::BTreeMap;
 
@@ -115,8 +114,6 @@ pub struct SliceWindow {
     pub machine_start: u64,
     /// The pid's machine cycle counter at slice end.
     pub machine_end: u64,
-    /// Whether the slice ran inside a kernel batch window.
-    pub batched: bool,
     /// Cache fallbacks (stale entries degraded cold) during this slice.
     pub fallback_delta: u64,
     /// Cache scrubs (future-epoch entries purged) during this slice.
@@ -195,14 +192,12 @@ pub struct AuditLog {
 /// One entry of the merged audit timeline.
 #[derive(Clone, Debug)]
 pub enum TimelineEntry {
-    /// A slice began (`pid`, batch-window opened iff `batched`).
+    /// A slice began.
     SliceStart {
         /// The pid receiving the slice.
         pid: Pid,
         /// Global slice index.
         index: u64,
-        /// Whether a kernel batch window opened with the slice.
-        batched: bool,
     },
     /// A kernel trace event from a sampled pid's ring.
     Kernel {
@@ -235,8 +230,7 @@ pub enum TimelineEntry {
 
 impl AuditLog {
     /// The merged, cycle-ordered timeline: slice boundaries (which carry
-    /// the batch-window open/close and per-slice cache fallback/scrub
-    /// deltas), sampled kernel events mapped onto the shared clock, and
+    /// the per-slice cache fallback/scrub deltas), sampled kernel events mapped onto the shared clock, and
     /// kill marks. Entries are `(global_cycles, entry)`, sorted by cycle
     /// with a deterministic tiebreak (slice order, then event order).
     pub fn timeline(&self) -> Vec<(u64, TimelineEntry)> {
@@ -249,7 +243,6 @@ impl AuditLog {
                 TimelineEntry::SliceStart {
                     pid: w.pid,
                     index: w.index,
-                    batched: w.batched,
                 },
             ));
             entries.push((

@@ -121,8 +121,7 @@ impl Detector {
     ///   (cache-poison faults);
     /// * `cache-scrub` — any impossible-epoch scrub (epoch-skew faults);
     /// * `warm-hit-floor` — warm-path collapse after cache warmup;
-    /// * `verify-drift` — per-call verify-cost drift off its EWMA;
-    /// * `probe-contention` — shared-cache probe amplification.
+    /// * `verify-drift` — per-call verify-cost drift off its EWMA.
     pub fn default_suite() -> Vec<Detector> {
         vec![
             Detector::threshold("alert-burst", Series::AlertRate, 0.0),
@@ -130,8 +129,6 @@ impl Detector {
             Detector::threshold("cache-scrub", Series::CacheScrubs, 0.0),
             Detector::ratio("warm-hit-floor", Series::WarmHitRatio, 0.05, 2).with_min_samples(32),
             Detector::ewma("verify-drift", Series::VerifyCyclesPerCall, 0.3, 3, 0.5)
-                .with_min_samples(32),
-            Detector::threshold("probe-contention", Series::ProbesPerCall, 8.0)
                 .with_min_samples(32),
         ]
     }

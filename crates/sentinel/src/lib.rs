@@ -5,8 +5,7 @@
 //! kills: *is the fleet healthy right now?* A [`Sentinel`] attaches to a
 //! running [`Scheduler`] and, on slice boundaries, samples every
 //! cumulative counter the stack exposes — kernel statistics, per-reason
-//! alert counts, shared-cache behaviour and probe counters, batched
-//! trap-path counters, and any attached [`asc_metrics`] registries (via
+//! alert counts, verify-cache behaviour, and any attached [`asc_metrics`] registries (via
 //! the cheap [`asc_metrics::Snapshot::diff`] delta) — into bounded
 //! per-window [`WindowSample`]s on the shared virtual clock. A
 //! [`Detector`] suite ([`DetectorKind::Threshold`],
@@ -33,7 +32,7 @@ pub use window::{Series, WindowSample};
 
 use std::collections::BTreeMap;
 
-use asc_kernel::{BatchStats, KernelStats};
+use asc_kernel::KernelStats;
 use asc_metrics::Snapshot;
 use asc_sched::Scheduler;
 
@@ -86,8 +85,6 @@ impl SentinelConfig {
 #[derive(Clone, Debug)]
 struct Cumulative {
     stats: KernelStats,
-    batch: BatchStats,
-    probes: u64,
     alerts: BTreeMap<&'static str, u64>,
     metrics: Snapshot,
 }
@@ -105,22 +102,15 @@ impl Cumulative {
                 metrics.absorb_registry(m.registry());
             }
         }
-        let probes = sched
-            .shared_cache()
-            .map(|cache| cache.borrow().probes())
-            .unwrap_or(0);
         Cumulative {
             stats: sched.aggregate_stats(),
-            batch: sched.batch_stats(),
-            probes,
             alerts,
             metrics,
         }
     }
 
-    /// The window delta `self − earlier` (saturating: a killed process's
-    /// dropped cache namespace can only lower a cumulative reading, and
-    /// a clamped zero is the honest floor for a window that lost state).
+    /// The window delta `self − earlier` (saturating, so a window never
+    /// reports a negative count).
     fn delta(&self, earlier: &Cumulative, index: u64, start: u64, end: u64) -> WindowSample {
         let d = |a: u64, b: u64| a.saturating_sub(b);
         let alerts: Vec<(&'static str, u64)> = self
@@ -147,11 +137,8 @@ impl Cumulative {
             warm_hits: d(self.stats.cache_hits, earlier.stats.cache_hits),
             cache_fallbacks: d(self.stats.cache_fallbacks, earlier.stats.cache_fallbacks),
             cache_scrubs: d(self.stats.cache_scrubs, earlier.stats.cache_scrubs),
-            probes: d(self.probes, earlier.probes),
             alerts,
             alerts_total,
-            batch_windows: d(self.batch.windows, earlier.batch.windows),
-            batch_drained: d(self.batch.drained, earlier.batch.drained),
             verify_p99,
             live: 0,
         }

@@ -29,17 +29,11 @@ pub struct WindowSample {
     pub cache_fallbacks: u64,
     /// Poisoned state entries scrubbed for claiming a future epoch.
     pub cache_scrubs: u64,
-    /// Shared-cache shard probes (0 without a shared cache).
-    pub probes: u64,
     /// Alerts raised this window, by stable reason code, sorted; only
     /// nonzero deltas appear.
     pub alerts: Vec<(&'static str, u64)>,
     /// Total alerts raised this window.
     pub alerts_total: u64,
-    /// Batch windows opened by the batched trap path this window.
-    pub batch_windows: u64,
-    /// Calls drained through batched verification this window.
-    pub batch_drained: u64,
     /// Windowed p99 of per-call verify cycles, from the attached metrics
     /// registries' histogram delta; `None` when no registry is attached
     /// or nothing verified this window.
@@ -81,19 +75,10 @@ impl WindowSample {
                 "cache_scrubs".to_string(),
                 Value::Num(self.cache_scrubs as f64),
             ),
-            ("probes".to_string(), Value::Num(self.probes as f64)),
             ("alerts".to_string(), Value::Array(alerts)),
             (
                 "alerts_total".to_string(),
                 Value::Num(self.alerts_total as f64),
-            ),
-            (
-                "batch_windows".to_string(),
-                Value::Num(self.batch_windows as f64),
-            ),
-            (
-                "batch_drained".to_string(),
-                Value::Num(self.batch_drained as f64),
             ),
             ("live".to_string(), Value::Num(self.live as f64)),
         ];
@@ -119,10 +104,6 @@ pub enum Series {
     CacheFallbacks,
     /// Epoch scrubs per window.
     CacheScrubs,
-    /// Shared-cache shard probes / syscalls.
-    ProbesPerCall,
-    /// Calls drained per batch window (batched trap-path fill).
-    BatchFill,
     /// Windowed p99 verify cycles (needs attached metrics registries).
     VerifyP99,
 }
@@ -136,8 +117,6 @@ impl Series {
             Series::VerifyCyclesPerCall => "verify-cycles-per-call",
             Series::CacheFallbacks => "cache-fallbacks",
             Series::CacheScrubs => "cache-scrubs",
-            Series::ProbesPerCall => "probes-per-call",
-            Series::BatchFill => "batch-fill",
             Series::VerifyP99 => "verify-p99",
         }
     }
@@ -153,8 +132,6 @@ impl Series {
             Series::WarmHitRatio | Series::VerifyCyclesPerCall | Series::VerifyP99 => {
                 sample.verified
             }
-            Series::ProbesPerCall => sample.syscalls,
-            Series::BatchFill => sample.batch_windows,
         }
     }
 
@@ -174,8 +151,6 @@ impl Series {
             Series::VerifyCyclesPerCall => ratio(sample.verify_cycles, sample.verified),
             Series::CacheFallbacks => Some(sample.cache_fallbacks as f64),
             Series::CacheScrubs => Some(sample.cache_scrubs as f64),
-            Series::ProbesPerCall => ratio(sample.probes, sample.syscalls),
-            Series::BatchFill => ratio(sample.batch_drained, sample.batch_windows),
             Series::VerifyP99 => sample.verify_p99.map(|v| v as f64),
         }
     }
@@ -196,11 +171,8 @@ mod tests {
             warm_hits: 30,
             cache_fallbacks: 2,
             cache_scrubs: 1,
-            probes: 100,
             alerts: vec![("bad-call-mac", 2)],
             alerts_total: 2,
-            batch_windows: 5,
-            batch_drained: 40,
             verify_p99: Some(400),
             live: 8,
         }
@@ -212,8 +184,6 @@ mod tests {
         assert_eq!(Series::AlertRate.value(&s), Some(2.0));
         assert_eq!(Series::WarmHitRatio.value(&s), Some(0.75));
         assert_eq!(Series::VerifyCyclesPerCall.value(&s), Some(200.0));
-        assert_eq!(Series::ProbesPerCall.value(&s), Some(2.0));
-        assert_eq!(Series::BatchFill.value(&s), Some(8.0));
         assert_eq!(Series::VerifyP99.value(&s), Some(400.0));
     }
 
@@ -222,8 +192,6 @@ mod tests {
         let empty = WindowSample::default();
         assert_eq!(Series::WarmHitRatio.value(&empty), None);
         assert_eq!(Series::VerifyCyclesPerCall.value(&empty), None);
-        assert_eq!(Series::ProbesPerCall.value(&empty), None);
-        assert_eq!(Series::BatchFill.value(&empty), None);
         assert_eq!(Series::VerifyP99.value(&empty), None);
         // Count series are always evaluable: zero is a healthy reading.
         assert_eq!(Series::AlertRate.value(&empty), Some(0.0));

@@ -42,11 +42,10 @@ fn machine_for(spec: &ProgramSpec, program_id: u16, with_metrics: bool) -> Machi
 }
 
 fn spawn_fleet(with_metrics: bool) -> Scheduler {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy: SchedPolicy::SeededRandom(0x5E17_0001),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: Some(8),
     });
     for (i, name) in WORKLOADS.iter().enumerate() {
         let spec = program(name).expect("workload is registered");
@@ -83,22 +82,16 @@ fn windows_partition_the_run_exactly() {
         "cycles partition"
     );
     assert_eq!(sum(|w| w.warm_hits), agg.cache_hits, "warm hits partition");
-    let batch = sched.batch_stats();
     assert_eq!(
-        sum(|w| w.batch_windows),
-        batch.windows,
-        "batch windows partition"
+        sum(|w| w.cache_fallbacks),
+        agg.cache_fallbacks,
+        "fallbacks partition"
     );
     assert_eq!(
-        sum(|w| w.batch_drained),
-        batch.drained,
-        "batch drains partition"
+        sum(|w| w.cache_scrubs),
+        agg.cache_scrubs,
+        "scrubs partition"
     );
-    let probes = sched
-        .shared_cache()
-        .map(|c| c.borrow().probes())
-        .unwrap_or(0);
-    assert_eq!(sum(|w| w.probes), probes, "probes partition");
 
     // Window spans tile the clock with no gaps or overlaps, ending at
     // the final clock.

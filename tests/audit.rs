@@ -10,16 +10,19 @@
 //!   verification tier;
 //! * **exact accounting** — every sampled ring satisfies
 //!   `retained + dropped == total events emitted`, across scheduler
-//!   kills and batch windows, at any capacity;
+//!   kills, at any capacity;
 //! * **sampling soundness** — unsampled pids cost nothing and their span
 //!   totals are reconstructed exactly from [`KernelStats`];
 //! * **replay determinism** — an on-kill bundle re-runs from its seeds to
 //!   the same pid, violation, and kill cycle, bit-identically, and its
-//!   JSON serialization is digest-protected against tampering.
+//!   JSON serialization is digest-protected against tampering;
+//! * **hostile input** — bundles of an unknown schema are rejected, and
+//!   byte-mutated bundle JSON parses or errors, never panics.
 
 use std::sync::OnceLock;
 
-use asc::audit::{replay, AuditFault, Bundle, SoloScenario};
+use asc::audit::{fnv64_bytes, replay, AuditFault, Bundle, SoloScenario, BUNDLE_SCHEMA};
+use asc::core::json::Value;
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
 use asc::kernel::{
@@ -30,7 +33,7 @@ use asc::sched::{Pid, ProcState, RecorderConfig, SchedConfig, SchedPolicy, Sched
 use asc::trace::EventKind;
 use asc::vm::Machine;
 use asc::workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
-use asc_testkit::Rng;
+use asc_testkit::{check, Rng};
 
 const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
@@ -81,19 +84,12 @@ fn machine_for_tier(spec: &ProgramSpec, auth: &Binary, tier: VerifyTier) -> Mach
     Machine::load(auth, kernel).expect("workload fits in guest memory")
 }
 
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-) -> Scheduler {
+fn spawn_n_tier(n: usize, policy: SchedPolicy, slice_instrs: u64, tier: VerifyTier) -> Scheduler {
     let fleet = fleet();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy,
         slice_instrs,
         budget_cycles: RUN_BUDGET,
-        batch_depth,
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
@@ -137,20 +133,17 @@ fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
 /// fleet size and under every verification tier — shared clock,
 /// interleaving (hence its FNV digest), per-pid cycles, kernel stats,
 /// stdout, states, and counters are all bit-identical to a bare run.
-/// N = 1024 also exercises the batched trap path under recording.
 #[test]
 fn recorder_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
     for &n in &[2usize, 8, 64, 1024] {
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
             let policy = SchedPolicy::SeededRandom(0xF1EE_7000 ^ n as u64 ^ (ti as u64) << 20);
-            let batch = if n >= 64 { Some(16) } else { None };
-
-            let mut bare = spawn_n_tier(n, policy, 2_000, batch, tier);
+            let mut bare = spawn_n_tier(n, policy, 2_000, tier);
             bare.run();
             let bare_witness = witness(&bare);
             drop(bare);
 
-            let mut recorded = spawn_n_tier(n, policy, 2_000, batch, tier);
+            let mut recorded = spawn_n_tier(n, policy, 2_000, tier);
             // Sample everything at small N; at fleet scale sample 1/8 so
             // the test also proves *partial* sampling perturbs nothing.
             let config = if n >= 64 {
@@ -203,23 +196,22 @@ fn recorder_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
 }
 
 /// **Satellite**: exact ring accounting under seeded schedules with
-/// scheduler kills and batch windows. A giant-capacity twin ring (which
+/// scheduler kills. A giant-capacity twin ring (which
 /// provably drops nothing) supplies the ground-truth event total; every
 /// bounded ring must satisfy `retained + dropped == total`, and the
 /// unsampled-pid reconstruction (`syscalls + verified` span events) must
 /// match the twin's observed span events exactly.
 #[test]
-fn ring_accounting_is_exact_across_kills_and_batch_windows() {
+fn ring_accounting_is_exact_across_kills() {
     let mut rng = Rng::new(0x41C0_0071);
     for round in 0..6u64 {
         let n = [3usize, 6, 9][(round % 3) as usize];
-        let batch = if round % 2 == 0 { Some(4) } else { None };
         let policy = SchedPolicy::SeededRandom(0xACC7_0000 ^ round);
         let kill_victim = (rng.range_u32(1, n as u32 + 1)) as Pid;
         let kill_after = rng.range_u32(5, 40);
 
         // Ground truth: capacity large enough to never drop.
-        let mut full = spawn_n_tier(n, policy, 2_000, batch, VerifyTier::Mac);
+        let mut full = spawn_n_tier(n, policy, 2_000, VerifyTier::Mac);
         full.attach_recorder(RecorderConfig {
             ring_capacity: 1 << 20,
             ..RecorderConfig::default()
@@ -237,7 +229,7 @@ fn ring_accounting_is_exact_across_kills_and_batch_windows() {
 
         // Bounded ring over the *identical* schedule and kill sequence.
         let capacity = [4usize, 16, 64][(round % 3) as usize];
-        let mut bounded = spawn_n_tier(n, policy, 2_000, batch, VerifyTier::Mac);
+        let mut bounded = spawn_n_tier(n, policy, 2_000, VerifyTier::Mac);
         bounded.attach_recorder(RecorderConfig {
             ring_capacity: capacity,
             ..RecorderConfig::default()
@@ -298,13 +290,6 @@ fn ring_accounting_is_exact_across_kills_and_batch_windows() {
                 "round {round}: external kill missing from the audit log"
             );
         }
-        // Batch windows surface on slice windows when batching was on.
-        if batch.is_some() {
-            assert!(
-                bounded_audit.windows.iter().any(|w| w.batched),
-                "round {round}: no slice recorded a batch window"
-            );
-        }
         assert!(
             bounded_audit
                 .windows
@@ -315,13 +300,9 @@ fn ring_accounting_is_exact_across_kills_and_batch_windows() {
     }
 }
 
-/// **Replay determinism**: a solo kill bundle re-runs from its seeds to
-/// the identical pid, violation, and kill cycle; its JSON form
-/// round-trips schema- and digest-verified; and a tampered byte is
-/// rejected by the digest check.
-#[test]
-fn solo_bundles_replay_bit_identically_and_reject_tampering() {
-    let scenario = SoloScenario {
+/// A solo `calc` run killed by a counter skew armed on its fourth trap.
+fn calc_skew_scenario() -> SoloScenario {
+    SoloScenario {
         workload: "calc".into(),
         personality: PERSONALITY,
         tier: VerifyTier::Mac,
@@ -332,7 +313,25 @@ fn solo_bundles_replay_bit_identically_and_reject_tampering() {
             at_trap: 4,
             action: FaultAction::SkewCounter { delta: 2 },
         })),
-    };
+    }
+}
+
+/// The JSON of [`calc_skew_scenario`]'s kill bundle.
+fn calc_skew_bundle_json() -> String {
+    let scenario = calc_skew_scenario();
+    let run = scenario.run();
+    Bundle::from_solo(scenario, &run)
+        .expect("kill yields a bundle")
+        .to_json()
+}
+
+/// **Replay determinism**: a solo kill bundle re-runs from its seeds to
+/// the identical pid, violation, and kill cycle; its JSON form
+/// round-trips schema- and digest-verified; and a tampered byte is
+/// rejected by the digest check.
+#[test]
+fn solo_bundles_replay_bit_identically_and_reject_tampering() {
+    let scenario = calc_skew_scenario();
     let run = scenario.run();
     assert!(
         run.outcome.is_killed(),
@@ -365,7 +364,7 @@ fn solo_bundles_replay_bit_identically_and_reject_tampering() {
     );
 }
 
-/// **Fleet replay**: a kill inside a seeded, batched fleet produces a
+/// **Fleet replay**: a kill inside a seeded fleet produces a
 /// bundle whose replay re-runs the interleaving to the same kill — same
 /// pid, violation, kill cycle, slice index, and interleaving-prefix FNV.
 #[test]
@@ -380,7 +379,6 @@ fn fleet_bundles_replay_to_the_same_kill() {
         sched_seed: 0xF1E7_0001,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: Some(4),
         fault: Some((
             1,
             TrapFault {
@@ -428,7 +426,6 @@ fn fleet_bundles_embed_the_last_health_window() {
         sched_seed: 0xF1E7_0001,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: Some(4),
         fault: Some((
             1,
             TrapFault {
@@ -501,5 +498,74 @@ fn fleet_bundles_embed_the_last_health_window() {
     assert!(
         Bundle::from_json(&tampered).is_err(),
         "a tampered health window must fail digest verification"
+    );
+}
+
+/// **Schema versioning**: a bundle tagged with the previous schema
+/// (`asc-audit-bundle/v1`, whose fleet schedule and victim payload carried
+/// fields this version removed) is rejected with the structured
+/// unknown-schema error before any other field is read.
+#[test]
+fn v1_bundles_are_rejected_as_unknown_schema() {
+    let json = calc_skew_bundle_json();
+    assert!(json.contains(BUNDLE_SCHEMA), "current schema tag present");
+    let v1 = json.replacen(BUNDLE_SCHEMA, "asc-audit-bundle/v1", 1);
+    let err = Bundle::from_json(&v1).expect_err("a v1 bundle must not parse");
+    assert_eq!(err, "unknown bundle schema \"asc-audit-bundle/v1\"");
+}
+
+/// Re-digests a parsed bundle document, so a mutation that keeps the
+/// JSON well-formed reaches the field parsers instead of stopping at the
+/// digest check.
+fn reseal(mut fields: Vec<(String, Value)>) -> Value {
+    fields.retain(|(k, _)| k != "digest");
+    let digest = fnv64_bytes(Value::Object(fields.clone()).to_pretty().as_bytes());
+    fields.push(("digest".into(), Value::Str(format!("{digest:#018x}"))));
+    Value::Object(fields)
+}
+
+/// **Hostile bundle JSON**: byte-mutated bundles (bit flips, JSON
+/// punctuation, deletions, truncation) parse to `Ok` or a structured
+/// `Err`, never a panic — both as raw text and, when the mutated text is
+/// still a JSON object, re-sealed with a matching digest.
+#[test]
+fn mutated_bundle_json_never_panics() {
+    let json = calc_skew_bundle_json();
+    let Ok(Value::Object(fields)) = Value::parse(&json) else {
+        panic!("bundle JSON is an object");
+    };
+    assert!(
+        Bundle::from_value(&reseal(fields)).is_ok(),
+        "re-sealing an unmutated bundle keeps it valid"
+    );
+    let mut past_digest = 0u32;
+    check(0xB0D1_E5ED, 400, |rng| {
+        let mut bytes = json.clone().into_bytes();
+        for _ in 0..rng.range_usize(1, 5) {
+            if bytes.is_empty() {
+                break;
+            }
+            let i = rng.range_usize(0, bytes.len());
+            match rng.range_u32(0, 8) {
+                0..=2 => bytes[i] ^= 1 << rng.range_u32(0, 8),
+                3..=5 => bytes[i] = *rng.pick(b"{}[]\",:0123456789-.aeflnrstux "),
+                6 => {
+                    bytes.remove(i);
+                }
+                _ => bytes.truncate(i),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = Bundle::from_json(&text);
+        if let Ok(Value::Object(fields)) = Value::parse(&text) {
+            match Bundle::from_value(&reseal(fields)) {
+                Err(e) if e.starts_with("bundle digest mismatch") => {}
+                _ => past_digest += 1,
+            }
+        }
+    });
+    assert!(
+        past_digest > 0,
+        "no mutated bundle reached the field parsers"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The scheduler time-slices N machines on the shared virtual cycle
 //! clock; each process owns its kernel (policy key, anti-replay counter,
-//! alert log, stats) and a pid namespace in the shared verify cache.
+//! alert log, stats, verify cache).
 //! These tests pin the isolation contract:
 //!
 //! * **(a) interleaving-independence** — under any seeded interleaving,
@@ -138,35 +138,18 @@ fn solo_run(spec: &ProgramSpec, auth: &Binary) -> Solo {
 }
 
 /// Spawns `n` processes cycling over the fleet's workloads under a
-/// shared-cache scheduler with the given policy and slice.
+/// scheduler with the given policy and slice.
 fn spawn_n(n: usize, policy: SchedPolicy, slice_instrs: u64) -> Scheduler {
-    spawn_n_batched(n, policy, slice_instrs, None)
+    spawn_n_tier(n, policy, slice_instrs, VerifyTier::Mac)
 }
 
-/// [`spawn_n`] with an explicit kernel batch-window depth.
-fn spawn_n_batched(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-) -> Scheduler {
-    spawn_n_tier(n, policy, slice_instrs, batch_depth, VerifyTier::Mac)
-}
-
-/// [`spawn_n_batched`] with an explicit verification tier.
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-) -> Scheduler {
+/// [`spawn_n`] with an explicit verification tier.
+fn spawn_n_tier(n: usize, policy: SchedPolicy, slice_instrs: u64, tier: VerifyTier) -> Scheduler {
     let fleet = fleet();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy,
         slice_instrs,
         budget_cycles: RUN_BUDGET,
-        batch_depth,
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
@@ -229,73 +212,128 @@ fn any_interleaving_matches_solo_runs() {
     }
 }
 
-/// (b) Killing pid A mid-schedule drops only A's cache namespace and
-/// leaves every peer's counter, cache epoch, and policy state exactly
-/// where they were; the peers then finish bit-identical to solo.
+/// (b) Killing pid A mid-schedule leaves every peer's counter, cache
+/// epoch, and policy state exactly where they were; the peers then finish
+/// bit-identical to solo. A's own verify cache is left as it was: the
+/// process never runs again, so nothing needs clearing. Larger fleets
+/// kill a long-running `calc` pid in the middle of the pid range.
 #[test]
 fn external_kill_leaves_peers_untouched() {
     let fleet = fleet();
-    for seed in 0..4u64 {
-        let mut sched = spawn_n(3, SchedPolicy::SeededRandom(0x0C11_5EED ^ seed), 2_000);
+    for (seed, n, victim) in [(0u64, 3usize, 1u32), (1, 3, 1), (2, 8, 5), (3, 8, 5)] {
+        let mut sched = spawn_n(n, SchedPolicy::SeededRandom(0x0C11_5EED ^ seed), 2_000);
         // Run partway so every process has live verifier state.
-        for _ in 0..60 {
+        for _ in 0..20 * n {
             if sched.step().is_none() {
                 break;
             }
         }
-        let shared = sched
-            .shared_cache()
-            .expect("shared-cache scheduler")
-            .clone();
-        let peers: Vec<u32> = [2u32, 3].to_vec();
-        let before: Vec<(u64, Option<u64>, KernelStats)> = peers
-            .iter()
-            .map(|&pid| {
-                (
-                    sched.process(pid).kernel().policy_counter(),
-                    shared.borrow().get(pid).and_then(|c| c.state_epoch()),
-                    sched.process(pid).stats(),
-                )
-            })
-            .collect();
+        let peers: Vec<u32> = (1..=n as u32).filter(|&pid| pid != victim).collect();
+        let snapshot = |sched: &Scheduler, pid: u32| {
+            let kernel = sched.process(pid).kernel();
+            (
+                kernel.policy_counter(),
+                kernel.verify_cache().state_epoch(),
+                kernel.cache_stats(),
+                sched.process(pid).stats(),
+            )
+        };
+        let before: Vec<_> = peers.iter().map(|&pid| snapshot(&sched, pid)).collect();
+        let victim_cache = sched.process(victim).kernel().cache_stats();
 
-        sched.kill(1, "operator kill (seed test)");
+        sched.kill(victim, "operator kill (seed test)");
+        let context = format!("seed {seed} n={n}: after killing pid {victim}");
         assert!(
-            matches!(sched.process(1).state(), ProcState::Killed(_)),
-            "pid 1 records the kill"
+            matches!(sched.process(victim).state(), ProcState::Killed(_)),
+            "{context}: the victim records the kill"
         );
-        assert!(
-            shared.borrow().get(1).is_none(),
-            "pid 1's cache namespace is dropped on kill"
+        assert_eq!(
+            sched.process(victim).kernel().cache_stats(),
+            victim_cache,
+            "{context}: the victim's cache keeps its counters"
         );
         for (i, &pid) in peers.iter().enumerate() {
-            let (counter, epoch, stats) = &before[i];
             assert_eq!(
-                sched.process(pid).kernel().policy_counter(),
-                *counter,
-                "seed {seed}: pid {pid}'s counter moved on pid 1's kill"
-            );
-            assert_eq!(
-                shared.borrow().get(pid).and_then(|c| c.state_epoch()),
-                *epoch,
-                "seed {seed}: pid {pid}'s cache epoch moved on pid 1's kill"
-            );
-            assert_eq!(
-                &sched.process(pid).stats(),
-                stats,
-                "seed {seed}: pid {pid}'s stats moved on pid 1's kill"
+                snapshot(&sched, pid),
+                before[i],
+                "{context}: pid {pid}'s counter, cache epoch, cache stats or stats moved"
             );
         }
 
         sched.run();
         for &pid in &peers {
             let solo = &fleet[(pid as usize - 1) % fleet.len()].solo;
-            assert_matches_solo(
-                sched.process(pid),
-                solo,
-                &format!("seed {seed} after killing pid 1"),
-            );
+            assert_matches_solo(sched.process(pid), solo, &context);
         }
+    }
+}
+
+/// Kill isolation at the pids a shared, 64-way pid-routed cache would
+/// have put together: killing pid `a` leaves both a *same-shard*
+/// neighbour `b` (the first pid whose 64-way route collides with `a`'s)
+/// and a *cross-shard* peer `c` bit-untouched, and both then finish
+/// bit-identical to solo. With a private cache per kernel no route
+/// exists any more; the test pins that the pids most exposed to aliasing
+/// under the old layout stay independent under the new one.
+#[test]
+fn same_shard_and_cross_shard_pids_survive_a_kill() {
+    use asc::core::mix64;
+    const SHARDS: u128 = 64;
+    let shard = |pid: u32| (u128::from(mix64(u64::from(pid))) * SHARDS) >> 64;
+    let fleet = fleet();
+    let (a, b) = (1u32..)
+        .flat_map(|hi| (1..hi).map(move |lo| (lo, hi)))
+        .find(|&(lo, hi)| shard(lo) == shard(hi))
+        .expect("some pid pair collides");
+    let n = b as usize;
+    let c = (1..=n as u32)
+        .find(|&pid| shard(pid) != shard(a))
+        .expect("some pid lands in another shard");
+
+    let mut sched = spawn_n(n, SchedPolicy::SeededRandom(0x5AAD_B0DD), 2_000);
+    for _ in 0..20 * n {
+        if sched.step().is_none() {
+            break;
+        }
+    }
+    let snapshot = |sched: &Scheduler, pid: u32| {
+        let kernel = sched.process(pid).kernel();
+        (
+            kernel.policy_counter(),
+            kernel.verify_cache().state_epoch(),
+            kernel.cache_stats(),
+            sched.process(pid).stats(),
+        )
+    };
+    let before: Vec<_> = [b, c].iter().map(|&pid| snapshot(&sched, pid)).collect();
+
+    if sched.process(a).state().is_runnable() {
+        sched.kill(a, "operator kill (shard-boundary test)");
+        assert!(
+            matches!(sched.process(a).state(), ProcState::Killed(_)),
+            "pid {a} records the kill"
+        );
+    }
+    for (i, &pid) in [b, c].iter().enumerate() {
+        let kind = if i == 0 { "same-shard" } else { "cross-shard" };
+        assert_eq!(
+            snapshot(&sched, pid),
+            before[i],
+            "{kind} pid {pid}: counter, cache epoch, cache stats or stats moved on pid {a}'s kill"
+        );
+    }
+
+    sched.run();
+    for &pid in &[b, c] {
+        if pid == a {
+            continue;
+        }
+        let solo = &fleet[(pid as usize - 1) % fleet.len()].solo;
+        assert_matches_solo(
+            sched.process(pid),
+            solo,
+            &format!("after killing same-shard neighbour {a}"),
+        );
     }
 }
 
@@ -316,11 +354,10 @@ fn policy_state_replayed_across_pids_is_rejected() {
         })
         .expect("some workload exercises policy state");
 
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy: SchedPolicy::RoundRobin,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth: None,
     });
     let a = sched.spawn(built.spec.name, machine_for(built.spec, &built.auth));
     let b = sched.spawn(built.spec.name, machine_for(built.spec, &built.auth));
@@ -382,207 +419,35 @@ fn policy_state_replayed_across_pids_is_rejected() {
     assert_eq!(alert.pid, b, "the kill is attributed to the replaying pid");
 }
 
-/// Everything the batch path could perturb, captured per pid plus the
-/// schedule itself.
-#[derive(PartialEq, Debug)]
-struct PidWitness {
-    state: ProcState,
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    stats: KernelStats,
-    fs_digest: u64,
-    counter: u64,
-}
-
-struct RunWitness {
-    interleaving: Vec<u32>,
-    per_pid: Vec<PidWitness>,
-}
-
-fn witness(sched: &Scheduler) -> RunWitness {
-    RunWitness {
-        interleaving: sched.interleaving().to_vec(),
-        per_pid: sched
-            .processes()
-            .iter()
-            .map(|p| PidWitness {
-                state: p.state().clone(),
-                stdout: p.kernel().stdout().to_vec(),
-                stderr: p.kernel().stderr().to_vec(),
-                stats: p.stats(),
-                fs_digest: p.kernel().fs().digest(),
-                counter: p.kernel().policy_counter(),
-            })
-            .collect(),
-    }
-}
-
-/// The batched trap path is bit-reproducible: for N ∈ {2, 8, 64, 1024},
-/// running the same seeded schedule with and without a kernel batch
-/// window yields the identical interleaving (hence identical FNV digest),
-/// per-pid kernel stats (including `verify_cycles` / `verify_aes_blocks`),
-/// stdout/stderr, filesystem digests, and anti-replay counters — only
-/// shared-cache probe traffic may differ, and it must shrink.
+/// Fleet-size differential: for N ∈ {2, 8, 64, 1024}, every pid of a
+/// seeded schedule, each verifying against its own private cache, ends
+/// bit-identical to its solo run: state, stdout/stderr, kernel stats
+/// (including `verify_cycles` / `verify_aes_blocks` and the warm-hit
+/// counts), filesystem digest and anti-replay counter.
 #[test]
-fn batched_verification_is_bit_identical_at_fleet_sizes() {
-    for &n in &[2usize, 8, 64, 1024] {
-        let policy = SchedPolicy::SeededRandom(0xF1EE_7000 ^ n as u64);
-        let mut unbatched_sched = spawn_n_batched(n, policy, 2_000, None);
-        unbatched_sched.run();
-        let unbatched_probes = unbatched_sched
-            .shared_cache()
-            .expect("shared-cache scheduler")
-            .borrow()
-            .probes();
-        let unbatched = witness(&unbatched_sched);
-        drop(unbatched_sched);
-
-        let mut batched_sched = spawn_n_batched(n, policy, 2_000, Some(16));
-        batched_sched.run();
-        let batch = batched_sched.batch_stats();
-        let batched_probes = batched_sched
-            .shared_cache()
-            .expect("shared-cache scheduler")
-            .borrow()
-            .probes();
-        let batched = witness(&batched_sched);
-
-        assert_eq!(
-            unbatched.interleaving, batched.interleaving,
-            "n={n}: batching changed the schedule"
-        );
-        assert_eq!(
-            unbatched.per_pid.len(),
-            batched.per_pid.len(),
-            "n={n}: process count"
-        );
-        for (pid0, (a, b)) in unbatched.per_pid.iter().zip(&batched.per_pid).enumerate() {
-            let pid = pid0 + 1;
-            assert_eq!(a.state, b.state, "n={n} pid {pid}: state");
-            assert_eq!(a.stdout, b.stdout, "n={n} pid {pid}: stdout");
-            assert_eq!(a.stderr, b.stderr, "n={n} pid {pid}: stderr");
-            assert_eq!(a.stats, b.stats, "n={n} pid {pid}: kernel stats");
-            assert_eq!(a.fs_digest, b.fs_digest, "n={n} pid {pid}: fs digest");
-            assert_eq!(a.counter, b.counter, "n={n} pid {pid}: counter");
-        }
-        assert_eq!(
-            batch.submitted, batch.drained,
-            "n={n}: every submitted call drained"
-        );
-        assert!(batch.windows > 0, "n={n}: batch windows actually opened");
-        assert_eq!(batch.max_depth, 1, "n={n}: synchronous guests");
-        assert!(
-            batched_probes < unbatched_probes,
-            "n={n}: batching must reduce shared-cache probes \
-             ({batched_probes} vs {unbatched_probes})"
-        );
-    }
-}
-
-/// Shard-boundary isolation at the scheduler level: killing a pid drops
-/// only its namespace, leaving both a *same-shard* neighbour and a
-/// *cross-shard* peer bit-untouched — under batched slices, so the
-/// surviving pids also witness batch/unbatched equivalence (their solo
-/// baselines ran unbatched).
-#[test]
-fn same_shard_and_cross_shard_pids_survive_a_kill() {
-    use asc::core::pid_shard;
+fn private_caches_match_solo_runs_at_fleet_sizes() {
     let fleet = fleet();
-    // Find the first pid pair that collides in the default 64-shard
-    // family, plus a pid in some other shard.
-    let shards = asc::core::SharedVerifyCache::new().shard_count();
-    let (a, b) = (1u32..)
-        .flat_map(|hi| (1..hi).map(move |lo| (lo, hi)))
-        .find(|&(lo, hi)| pid_shard(lo, shards) == pid_shard(hi, shards))
-        .expect("some pid pair collides");
-    let n = b as usize;
-    let c = (1..=n as u32)
-        .find(|&pid| pid_shard(pid, shards) != pid_shard(a, shards))
-        .expect("some pid lands in another shard");
-
-    let mut sched = spawn_n_batched(n, SchedPolicy::SeededRandom(0x5AAD_B0DD), 2_000, Some(8));
-    for _ in 0..20 * n {
-        if sched.step().is_none() {
-            break;
+    for &n in &[2usize, 8, 64, 1024] {
+        let mut sched = spawn_n(n, SchedPolicy::SeededRandom(0xF1EE_7000 ^ n as u64), 2_000);
+        sched.run();
+        assert_eq!(sched.processes().len(), n, "n={n}: process count");
+        for proc in sched.processes() {
+            let solo = &fleet[(proc.pid() as usize - 1) % fleet.len()].solo;
+            assert_matches_solo(proc, solo, &format!("n={n}"));
         }
-    }
-    let shared = sched
-        .shared_cache()
-        .expect("shared-cache scheduler")
-        .clone();
-    let before: Vec<(u64, Option<u64>, KernelStats)> = [b, c]
-        .iter()
-        .map(|&pid| {
-            (
-                sched.process(pid).kernel().policy_counter(),
-                shared
-                    .borrow()
-                    .get(pid)
-                    .and_then(|cache| cache.state_epoch()),
-                sched.process(pid).stats(),
-            )
-        })
-        .collect();
-
-    if sched.process(a).state().is_runnable() {
-        sched.kill(a, "operator kill (shard-boundary test)");
-    } else {
-        // Already exited: still exercise the namespace drop.
-        shared.borrow_mut().drop_pid(a);
-    }
-    assert!(
-        shared.borrow().get(a).is_none(),
-        "pid {a}'s namespace is gone"
-    );
-    for (i, &pid) in [b, c].iter().enumerate() {
-        let kind = if i == 0 { "same-shard" } else { "cross-shard" };
-        let (counter, epoch, stats) = &before[i];
-        assert_eq!(
-            sched.process(pid).kernel().policy_counter(),
-            *counter,
-            "{kind} pid {pid}: counter moved on pid {a}'s kill"
-        );
-        assert_eq!(
-            shared
-                .borrow()
-                .get(pid)
-                .and_then(|cache| cache.state_epoch()),
-            *epoch,
-            "{kind} pid {pid}: cache epoch moved on pid {a}'s kill"
-        );
-        assert_eq!(
-            &sched.process(pid).stats(),
-            stats,
-            "{kind} pid {pid}: stats moved on pid {a}'s kill"
-        );
-    }
-
-    sched.run();
-    for &pid in &[b, c] {
-        if pid == a {
-            continue;
-        }
-        let solo = &fleet[(pid as usize - 1) % fleet.len()].solo;
-        assert_matches_solo(
-            sched.process(pid),
-            solo,
-            &format!("after killing same-shard neighbour {a}"),
-        );
     }
 }
 
-/// The fleet harness (churn + hot/cold mix + per-shard report) is
-/// deterministic, and batching leaves every result except probe traffic
-/// untouched there too.
+/// The fleet harness (churn + hot/cold mix) is deterministic: the same
+/// seed reproduces the whole fleet report.
 #[test]
-fn fleet_churn_is_deterministic_and_batch_invariant() {
+fn fleet_churn_is_deterministic() {
     use asc_bench::fleet::{render_fleet, run_fleet, FleetConfig};
     use asc_bench::server::ServerMode;
     let config = FleetConfig {
         procs: 8,
         seed: 0xF1EE_75ED,
         slice_instrs: 2_000,
-        batch_depth: Some(8),
         churn_spawns: 4,
     };
     let first = run_fleet(&config, ServerMode::Warm);
@@ -593,34 +458,7 @@ fn fleet_churn_is_deterministic_and_batch_invariant() {
         "same seed must reproduce the whole fleet report"
     );
     assert_eq!(first.spawned, 12, "churn spawned every replacement");
-
-    let unbatched = run_fleet(
-        &FleetConfig {
-            batch_depth: None,
-            ..config
-        },
-        ServerMode::Warm,
-    );
-    assert_eq!(first.interleaving_fnv, unbatched.interleaving_fnv);
-    assert_eq!(first.aggregate, unbatched.aggregate);
-    assert_eq!(first.rows.len(), unbatched.rows.len());
-    for (x, y) in first.rows.iter().zip(&unbatched.rows) {
-        assert_eq!(x.shard, y.shard);
-        assert_eq!(x.verified, y.verified, "shard {}: verified", x.shard);
-        assert_eq!(x.cache_hits, y.cache_hits, "shard {}: warm hits", x.shard);
-        assert_eq!(
-            (x.p50, x.p90, x.p99),
-            (y.p50, y.p90, y.p99),
-            "shard {}: quantiles",
-            x.shard
-        );
-    }
-    assert!(
-        first.shared_probes < unbatched.shared_probes,
-        "batching must reduce probes ({} vs {})",
-        first.shared_probes,
-        unbatched.shared_probes
-    );
+    assert_eq!(first.aggregate, second.aggregate);
 }
 
 /// Same seed ⇒ bit-identical interleaving, aggregate stats, and rendered
@@ -699,7 +537,6 @@ fn flow_state_is_per_pid_and_kills_do_not_leak() {
             3,
             SchedPolicy::SeededRandom(0xF10A_57A7 ^ ti as u64),
             2_000,
-            None,
             tier,
         );
         // Run partway, sampling every pid's flow state after each slice.
@@ -752,65 +589,23 @@ fn flow_state_is_per_pid_and_kills_do_not_leak() {
     }
 }
 
-/// Batch windows are tier-transparent: under *every* tier, running the
-/// same seeded schedule with and without a batch window yields the
-/// identical interleaving, per-pid states, stdout/stderr, kernel stats
-/// (including flow-check and MAC cycles), filesystem digests, and
-/// counters. The MAC tiers must actually open windows and shrink
-/// shared-cache probe traffic; `flow-only` runs no MAC work, so it
-/// opens none and probes nothing either way.
+/// Tier differential: under *every* tier, each pid of a seeded N=8
+/// schedule ends bit-identical to its solo run under the same tier,
+/// including the flow-check and MAC cycles in its kernel stats.
 #[test]
-fn batched_windows_are_bit_identical_under_every_tier() {
+fn fleet_matches_solo_runs_under_every_tier() {
+    let fleet = fleet();
     for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
-        let n = 8;
+        let solos: Vec<Solo> = fleet
+            .iter()
+            .map(|b| solo_tier(b.spec, &b.auth, tier))
+            .collect();
         let policy = SchedPolicy::SeededRandom(0xBA7C_47E0 ^ ti as u64);
-        let mut unbatched_sched = spawn_n_tier(n, policy, 2_000, None, tier);
-        unbatched_sched.run();
-        let unbatched_probes = unbatched_sched
-            .shared_cache()
-            .expect("shared-cache scheduler")
-            .borrow()
-            .probes();
-        let unbatched = witness(&unbatched_sched);
-        drop(unbatched_sched);
-
-        let mut batched_sched = spawn_n_tier(n, policy, 2_000, Some(16), tier);
-        batched_sched.run();
-        let batch = batched_sched.batch_stats();
-        let batched_probes = batched_sched
-            .shared_cache()
-            .expect("shared-cache scheduler")
-            .borrow()
-            .probes();
-        let batched = witness(&batched_sched);
-
-        let name = tier.name();
-        assert_eq!(
-            unbatched.interleaving, batched.interleaving,
-            "{name}: batching changed the schedule"
-        );
-        for (pid0, (a, b)) in unbatched.per_pid.iter().zip(&batched.per_pid).enumerate() {
-            let pid = pid0 + 1;
-            assert_eq!(a, b, "{name} pid {pid}: batched run diverged");
-        }
-        assert_eq!(
-            batch.submitted, batch.drained,
-            "{name}: every submitted call drained"
-        );
-        if tier.checks_mac() {
-            assert!(batch.windows > 0, "{name}: batch windows actually opened");
-            assert!(
-                batched_probes < unbatched_probes,
-                "{name}: batching must reduce shared-cache probes \
-                 ({batched_probes} vs {unbatched_probes})"
-            );
-        } else {
-            assert_eq!(batch.windows, 0, "{name}: no MAC work, no windows");
-            assert_eq!(
-                (batched_probes, unbatched_probes),
-                (0, 0),
-                "{name}: the flow tier never probes the shared cache"
-            );
+        let mut sched = spawn_n_tier(8, policy, 2_000, tier);
+        sched.run();
+        for proc in sched.processes() {
+            let solo = &solos[(proc.pid() as usize - 1) % fleet.len()];
+            assert_matches_solo(proc, solo, tier.name());
         }
     }
 }

@@ -83,19 +83,12 @@ fn machine_for_tier(
     Machine::load(auth, kernel).expect("workload fits in guest memory")
 }
 
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-    with_metrics: bool,
-) -> Scheduler {
+fn spawn_n_tier(n: usize, policy: SchedPolicy, tier: VerifyTier, with_metrics: bool) -> Scheduler {
     let fleet = fleet();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+    let mut sched = Scheduler::new(SchedConfig {
         policy,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth,
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
@@ -140,16 +133,13 @@ fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
 /// perturbation-free at every fleet size and under every verification
 /// tier: shared clock, interleaving (hence its FNV digest), per-pid
 /// cycles, kernel stats, stdout, states, and counters are all
-/// bit-identical to a bare run. N = 1024 also exercises the batched trap
-/// path under observation.
+/// bit-identical to a bare run.
 #[test]
 fn sentinel_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
     for &n in &[2usize, 8, 64, 1024] {
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
             let policy = SchedPolicy::SeededRandom(0x5E17_7000 ^ n as u64 ^ (ti as u64) << 20);
-            let batch = if n >= 64 { Some(16) } else { None };
-
-            let mut bare = spawn_n_tier(n, policy, batch, tier, false);
+            let mut bare = spawn_n_tier(n, policy, tier, false);
             bare.run();
             let bare_witness = witness(&bare);
             let bare_agg = bare.aggregate_stats();
@@ -158,7 +148,7 @@ fn sentinel_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
             // Retain every window (the default 256-window tail would
             // drop early windows on the long N=1024 runs, breaking the
             // partition identity below).
-            let mut observed = spawn_n_tier(n, policy, batch, tier, true);
+            let mut observed = spawn_n_tier(n, policy, tier, true);
             let sentinel = Sentinel::drive(
                 &mut observed,
                 SentinelConfig::new(250_000).with_max_windows(usize::MAX),
@@ -212,12 +202,7 @@ fn sentinel_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
             // ratios under flow-only or fleet-scale cold phases; their
             // quiet-SLO behaviour is pinned by the sentinel crate's own
             // tests and the health golden instead.)
-            let hard = [
-                "alert-burst",
-                "cache-fallback",
-                "cache-scrub",
-                "probe-contention",
-            ];
+            let hard = ["alert-burst", "cache-fallback", "cache-scrub"];
             let unexpected: Vec<_> = sentinel
                 .events()
                 .iter()
