@@ -8,10 +8,10 @@
 //! checks *every* call.
 
 use asc_bench::{bench_key, build_and_install};
-use asc_kernel::Personality;
+use asc_kernel::{KernelOptions, Personality};
 use asc_monitors::{train, InKernelMonitor, MonitoredKernel, UserSpaceMonitor};
 use asc_vm::Machine;
-use asc_workloads::{kernel_for, measure, measure_cached, program};
+use asc_workloads::{kernel_for, measure, program, RunReport};
 
 const PERSONALITY: Personality = Personality::Linux;
 
@@ -23,7 +23,9 @@ fn run_monitored(
     let binary = asc_workloads::build(spec, PERSONALITY)
         .expect("registered workload source compiles and links");
     // Train the monitor on one observation run.
-    let (outcome, kernel) = asc_workloads::run_plain(spec, &binary, PERSONALITY);
+    let RunReport {
+        outcome, kernel, ..
+    } = measure(spec, &binary, KernelOptions::plain(PERSONALITY), None);
     assert!(outcome.is_success());
     let policy = train(name, [asc_monitors::trace_names(&kernel)]);
     // Enforced run under the wrapped kernel.
@@ -53,11 +55,17 @@ fn main() {
     for (i, name) in ["gzip", "pyramid", "vortex"].iter().enumerate() {
         let spec = program(name).expect("name appears in the asc_workloads program registry");
         let (plain, auth, _) = build_and_install(spec, PERSONALITY, 300 + i as u16);
-        let base = measure(spec, &plain, PERSONALITY, None);
+        let base = measure(spec, &plain, KernelOptions::plain(PERSONALITY), None);
         assert!(base.outcome.is_success());
-        let asc = measure(spec, &auth, PERSONALITY, Some(bench_key()));
+        let enforcing = KernelOptions::enforcing(PERSONALITY);
+        let asc = measure(spec, &auth, enforcing.clone(), Some(bench_key()));
         assert!(asc.outcome.is_success());
-        let warm = measure_cached(spec, &auth, PERSONALITY, bench_key());
+        let warm = measure(
+            spec,
+            &auth,
+            enforcing.with_verify_cache(),
+            Some(bench_key()),
+        );
         assert!(warm.outcome.is_success());
         assert!(
             warm.cycles <= asc.cycles,

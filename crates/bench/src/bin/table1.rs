@@ -5,9 +5,9 @@
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::Personality;
+use asc_kernel::{KernelOptions, Personality};
 use asc_monitors::{trace_names, train};
-use asc_workloads::{build, program, run_plain};
+use asc_workloads::{build, measure, program, RunReport};
 
 const PROGRAMS: &[(&str, (usize, usize, usize))] = &[
     // (name, (paper ASC Linux, paper ASC OpenBSD, paper Systrace OpenBSD))
@@ -32,7 +32,9 @@ fn systrace_policy_count(name: &str, personality: Personality) -> usize {
     // Training: observe the canonical run (the published policies came
     // from repeated ordinary runs; our workloads are deterministic, so one
     // run sees everything training would).
-    let (outcome, kernel) = run_plain(spec, &binary, personality);
+    let RunReport {
+        outcome, kernel, ..
+    } = measure(spec, &binary, KernelOptions::plain(personality), None);
     assert!(
         outcome.is_success(),
         "{name} training run failed: {outcome:?}"

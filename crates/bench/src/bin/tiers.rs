@@ -16,8 +16,8 @@
 
 use asc_bench::{bench_key, build_and_install};
 use asc_faults::{run_tier_matrix, TierMatrixConfig};
-use asc_kernel::{Personality, VerifyTier};
-use asc_workloads::{measure, measure_tier, program};
+use asc_kernel::{KernelOptions, Personality, VerifyTier};
+use asc_workloads::{measure, program};
 
 const PERSONALITY: Personality = Personality::Linux;
 
@@ -36,14 +36,15 @@ fn main() {
     for (i, name) in ["bison", "calc", "tar"].iter().enumerate() {
         let spec = program(name).expect("name appears in the asc_workloads program registry");
         let (plain, auth, _) = build_and_install(spec, PERSONALITY, 0x0F60 + i as u16);
-        let base = measure(spec, &plain, PERSONALITY, None);
+        let base = measure(spec, &plain, KernelOptions::plain(PERSONALITY), None);
         assert!(base.outcome.is_success());
         println!(
             "{:<10} {:<10} {:>12} {:>8} {:>12} {:>11}",
             name, "none", base.cycles, "-", "-", "-"
         );
         for tier in VerifyTier::ALL {
-            let run = measure_tier(spec, &auth, PERSONALITY, bench_key(), tier);
+            let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+            let run = measure(spec, &auth, opts, Some(bench_key()));
             assert!(
                 run.outcome.is_success(),
                 "{name} under {} failed: {:?} (alerts: {:?})",

@@ -103,8 +103,12 @@ pub fn measure_program(name: &str, program_id: u16) -> PerfRow {
     let spec = program(name).expect("name appears in the asc_workloads program registry");
     let personality = Personality::Linux;
     let (plain, auth, _) = build_and_install(spec, personality, program_id);
-    let base = expect_ok(spec, measure(spec, &plain, personality, None));
-    let with = expect_ok(spec, measure(spec, &auth, personality, Some(bench_key())));
+    let base = expect_ok(
+        spec,
+        measure(spec, &plain, KernelOptions::plain(personality), None),
+    );
+    let enforcing = KernelOptions::enforcing(personality);
+    let with = expect_ok(spec, measure(spec, &auth, enforcing, Some(bench_key())));
     let overhead_pct = (with.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0;
     PerfRow {
         name: name.to_string(),

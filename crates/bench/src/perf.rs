@@ -248,7 +248,7 @@ pub fn measure_workload(spec: &ProgramSpec, program_id: u16) -> WorkloadPerf {
         .install(&plain, spec.name)
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
 
-    let base = asc_workloads::measure(spec, &plain, PERSONALITY, None);
+    let base = asc_workloads::measure(spec, &plain, KernelOptions::plain(PERSONALITY), None);
     assert!(
         base.outcome.is_success(),
         "{} base run failed: {:?}",
@@ -536,7 +536,7 @@ pub fn measure_tiers() -> WorkloadPerf {
         let (auth, _) = installer
             .install(&plain, spec.name)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let base = asc_workloads::measure(spec, &plain, PERSONALITY, None);
+        let base = asc_workloads::measure(spec, &plain, KernelOptions::plain(PERSONALITY), None);
         assert!(
             base.outcome.is_success(),
             "{name} base run failed: {:?}",
@@ -545,7 +545,8 @@ pub fn measure_tiers() -> WorkloadPerf {
         base_cycles += base.cycles;
         syscalls += base.kernel.stats().syscalls;
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
-            let run = asc_workloads::measure_tier(spec, &auth, PERSONALITY, bench_key(), tier);
+            let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+            let run = asc_workloads::measure(spec, &auth, opts, Some(bench_key()));
             assert!(
                 run.outcome.is_success(),
                 "{name} {} run failed: {:?} (alerts: {:?})",

@@ -5,7 +5,7 @@
 //! Regenerate after an intentional change with:
 //!
 //! ```sh
-//! for t in table1 table2 table3 table4 table6 ablation andrew server tiers audit coverage; do
+//! for t in table1 table2 table3 table4 table6 ablation andrew server tiers audit coverage health; do
 //!     cargo run --release -p asc-bench --bin $t > crates/bench/golden/$t.txt
 //! done
 //! ```

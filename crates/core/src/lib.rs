@@ -9,7 +9,7 @@
 //!   with the installation key, and embeds descriptor + MAC + authenticated
 //!   strings in the binary;
 //! * the **kernel** (`asc-kernel`) reconstructs the encoding from the
-//!   *runtime* values at trap time and runs [`verify::verify_call`], which
+//!   *runtime* values at trap time and runs [`Verifier::verify`], which
 //!   implements the three checks of §3.4 (call MAC, string integrity,
 //!   control flow) plus the §5 extensions (argument patterns with proof
 //!   hints, capability tracking bits);
@@ -50,7 +50,4 @@ pub use flow::{FlowGraph, FlowParseError, FLOW_START};
 pub use pattern::{match_pattern, produce_hint, Pattern, PatternError};
 pub use policy::{ArgPolicy, ProgramPolicy, SyscallPolicy, MAX_ARGS};
 pub use sites::{SiteRegistry, SitesParseError};
-pub use verify::{
-    verify_call, verify_call_cached, verify_call_hooked, verify_call_traced, AuthCallRegs,
-    UserMemory, VerifyHooks, VerifyOutcome, Violation,
-};
+pub use verify::{AuthCallRegs, UserMemory, Verifier, VerifyOutcome, Violation};

@@ -1,22 +1,22 @@
 //! Kernel-side system call checking (§3.4).
 //!
-//! [`verify_call`] implements the three checks the paper adds to the trap
-//! handler — call MAC, authenticated-string integrity, control flow — plus
-//! the §5 extensions (patterns with proof hints, capability bits). It is
-//! written against the small [`UserMemory`] abstraction so it can be tested
-//! exhaustively here and reused verbatim by the simulated kernel.
+//! [`Verifier::verify`] implements the three checks the paper adds to the
+//! trap handler — call MAC, authenticated-string integrity, control flow —
+//! plus the §5 extensions (patterns with proof hints, capability bits). It
+//! is written against the small [`UserMemory`] abstraction so it can be
+//! tested exhaustively here and reused verbatim by the simulated kernel.
 //!
-//! The function also *meters* the cryptographic work it performs
-//! ([`VerifyOutcome::aes_blocks`]): the kernel's cycle model charges
-//! verification cost from these counts, which is how the simulator
-//! reproduces the paper's ≈4,000-cycle per-call overhead from first
-//! principles instead of hard-coding it. The counts are *measured* — the
-//! key's AES block counter is snapshotted around the verification — so a
-//! cached fast path ([`verify_call_cached`]) that skips recomputation is
-//! charged only for the blocks it actually ran.
+//! The verifier also *meters* the cryptographic work it performs
+//! ([`VerifyOutcome::aes_blocks`], split per check into [`CheckRecord`]s):
+//! the kernel's cycle model charges verification cost from these counts,
+//! which is how the simulator reproduces the paper's ≈4,000-cycle per-call
+//! overhead from first principles instead of hard-coding it. The counts
+//! are *measured* — the key's AES block counter is snapshotted around each
+//! check — so the cached fast path ([`Verifier::cache`]) that skips
+//! recomputation is charged only for the blocks it actually ran.
 
-use asc_crypto::{MacKey, MemoryChecker, PolicyState, MAC_LEN, POLICY_STATE_LEN};
-use asc_trace::{CacheDecision, CallMeter, CheckKind, CheckRecord, ReasonCode};
+use asc_crypto::{CapabilitySet, MacKey, MemoryChecker, PolicyState, MAC_LEN, POLICY_STATE_LEN};
+use asc_trace::{CacheDecision, CheckKind, CheckRecord, ReasonCode};
 
 use crate::cache::{CacheStats, VerifyCache};
 use crate::descriptor::PolicyDescriptor;
@@ -33,7 +33,7 @@ pub const MAX_AS_LEN: u32 = 4096;
 const AS_HEADER: u32 = 20;
 
 /// The register file of an authenticated call, as seen by the trap handler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuthCallRegs {
     /// `R0`: system call number.
     pub nr: u32,
@@ -281,103 +281,403 @@ fn read_as_header(
     Ok((len, mac))
 }
 
-/// Verifies one authenticated system call against its embedded policy.
-///
-/// Implements §3.4's three steps in order: (1) reconstruct the encoded call
-/// from runtime values and check the call MAC; (2) check the integrity of
-/// every authenticated string argument (and pattern, and the predecessor
-/// set); (3) check and update the control-flow policy state. `cap_check`
-/// is consulted for capability-tracked arguments (§5.3); pass `None` when
-/// the kernel has capability tracking disabled.
-///
-/// On success the policy state in user memory has been advanced and the
-/// returned [`VerifyOutcome`] reports the cryptographic work done. On
-/// failure the state is untouched and the process must be terminated.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-pub fn verify_call(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-) -> Result<VerifyOutcome, Violation> {
-    verify_call_cached(key, checker, None, mem, regs, cap_check)
-}
-
-/// [`verify_call`] with an optional verified-call cache (the warm path).
-///
-/// With `cache: None` this is exactly the cold path. With a cache, MAC
-/// checks whose `(message, tag)` pair byte-matches an earlier fully
-/// verified pair are accepted without AES work; every mismatch falls back
-/// to the full CMAC computation, so the accept set is identical to the
-/// cold path (see the [`crate::cache`] module docs for the soundness
-/// argument). The returned [`VerifyOutcome`] meters the AES blocks
-/// actually executed.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-pub fn verify_call_cached(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    cache: Option<&mut VerifyCache>,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-) -> Result<VerifyOutcome, Violation> {
-    verify_call_hooked(
-        key,
-        checker,
-        cache,
-        mem,
-        regs,
-        cap_check,
-        VerifyHooks::default(),
-    )
-}
-
-/// Deliberate weakenings of the verifier, used **only** to validate the
-/// fault-injection oracle: a campaign run against a weakened verifier must
-/// report silent corruption, proving the classifier can detect a verifier
-/// that fails open. Production callers always pass
-/// [`VerifyHooks::default()`] (everything off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyHooks {
-    /// Skip the authenticated-string contents check (§3.4 step 2): any
-    /// bytes pass as long as the `(addr, len, mac)` tuple still matches
-    /// the call MAC. This is precisely the hole the non-control-data
-    /// attack needs.
+/// The kernel side of one verification: the key and the per-process state
+/// that §3.4's checks run against. Build one per trap and call
+/// [`Verifier::verify`].
+pub struct Verifier<'a> {
+    /// The installation key every MAC is checked under.
+    pub key: &'a MacKey,
+    /// The in-kernel anti-replay counter the policy-state MAC is bound to.
+    pub checker: &'a mut MemoryChecker,
+    /// The verified-call cache (the warm path). `None` runs exactly the
+    /// cold path. With a cache, a MAC check whose `(message, tag)` pair
+    /// byte-matches an earlier fully verified pair is accepted without AES
+    /// work; every mismatch falls back to the full CMAC, so the accept set
+    /// is the cold path's (see the [`crate::cache`] module docs).
+    pub cache: Option<&'a mut VerifyCache>,
+    /// The active-descriptor set capability-tracked arguments must be in
+    /// (§5.3). `None` when capability tracking is off: every such argument
+    /// passes.
+    pub caps: Option<&'a CapabilitySet>,
+    /// **Test-only** weakening: skip the authenticated-string contents
+    /// check (§3.4 step 2), so any bytes pass as long as the `(addr, len,
+    /// mac)` tuple still matches the call MAC. This is exactly the hole the
+    /// non-control-data attack needs; the fault-injection campaign sets it
+    /// to prove its oracle detects a verifier that fails open.
     pub accept_any_string: bool,
 }
 
-/// [`verify_call_cached`] with explicit [`VerifyHooks`] (test-only
-/// weakenings; see there).
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_call_hooked(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    cache: Option<&mut VerifyCache>,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-    hooks: VerifyHooks,
-) -> Result<VerifyOutcome, Violation> {
-    let mut meter = CallMeter::disabled();
-    verify_call_traced(key, checker, cache, mem, regs, cap_check, hooks, &mut meter)
+/// An authenticated blob in user memory: contents address, length, MAC.
+type AsBlob = (u32, u32, [u8; MAC_LEN]);
+
+/// The call as the trap presents it: the encoding the call MAC covers,
+/// the MAC itself, and each pattern argument's proof hint (which the MAC
+/// does not cover).
+struct DecodedCall {
+    encoded: EncodedCall,
+    call_mac: [u8; MAC_LEN],
+    hints: [Vec<u32>; MAX_ARGS],
 }
 
-/// Derives the per-check cache decision from the cache's counter deltas
-/// around the check (`None` stats means no cache was attached).
+/// The key's AES block count and the cache counters when a check starts.
+struct CheckStart {
+    blocks: u64,
+    stats: Option<CacheStats>,
+}
+
+impl Verifier<'_> {
+    /// Verifies one authenticated system call against its embedded policy.
+    ///
+    /// Implements §3.4's three steps in order: (1) reconstruct the encoded
+    /// call from runtime values and check the call MAC; (2) check the
+    /// integrity of every authenticated string argument and pattern, then
+    /// the capability bits (§5.3); (3) check the predecessor set, then
+    /// check and update the control-flow policy state.
+    ///
+    /// Every check appends one [`CheckRecord`] to `checks`: kind,
+    /// pass/fail, *measured* AES blocks (the key's block counter around the
+    /// check, so one call's records partition [`VerifyOutcome::aes_blocks`]
+    /// exactly), bytes compared, and the cache decision. The caller owns
+    /// the buffer, so a kernel that clears and reuses one allocates nothing
+    /// for it per call.
+    ///
+    /// On success the policy state in user memory has been advanced and
+    /// the returned [`VerifyOutcome`] reports the cryptographic work done.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Violation`]; the policy state is then untouched
+    /// and the caller kills the process. The failed check's record is
+    /// appended first, so the records end with the check that killed the
+    /// call (a memory fault reading a check's input kills before that
+    /// check records).
+    pub fn verify(
+        &mut self,
+        mem: &mut dyn UserMemory,
+        regs: &AuthCallRegs,
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<VerifyOutcome, Violation> {
+        let blocks_at_entry = self.key.block_ops();
+        let call = decode_call(mem, regs)?;
+        let cache_hit = self.check_call_mac(&call, checks)?;
+        let mut bytes_checked = 0;
+        for (i, arg) in &call.encoded.args {
+            bytes_checked += match *arg {
+                EncodedArg::AuthString { addr, len, mac } => {
+                    self.check_string(mem, *i, (addr, len, mac), checks)?
+                }
+                EncodedArg::Pattern { addr, len, mac } => {
+                    let hint = &call.hints[*i];
+                    let value = regs.args[*i];
+                    self.check_pattern(mem, *i, (addr, len, mac), value, hint, checks)?
+                }
+                EncodedArg::Immediate(_) | EncodedArg::Capability => 0,
+            };
+        }
+        let capability_args = self.check_capabilities(regs, call.encoded.descriptor, checks)?;
+        let state_updated = match call.encoded.pred_set {
+            Some(pred_set) => {
+                bytes_checked += self.check_control_flow(mem, regs, pred_set, checks)?;
+                true
+            }
+            None => false,
+        };
+        Ok(VerifyOutcome {
+            aes_blocks: self.key.block_ops().wrapping_sub(blocks_at_entry),
+            bytes_checked,
+            state_updated,
+            cache_hit,
+            capability_args,
+        })
+    }
+
+    fn start(&self) -> CheckStart {
+        CheckStart {
+            blocks: self.key.block_ops(),
+            stats: self.cache.as_deref().map(VerifyCache::stats),
+        }
+    }
+
+    /// The record of a check that began at `start`.
+    fn finish(
+        &self,
+        start: CheckStart,
+        kind: CheckKind,
+        passed: bool,
+        hit: bool,
+        bytes: u64,
+    ) -> CheckRecord {
+        let now = self.cache.as_deref().map(VerifyCache::stats);
+        CheckRecord {
+            kind,
+            passed,
+            aes_blocks: self.key.block_ops().wrapping_sub(start.blocks),
+            bytes,
+            cache: cache_decision(hit, start.stats, now),
+        }
+    }
+
+    /// §3.4 step 1. Returns whether the cache served the call MAC.
+    fn check_call_mac(
+        &mut self,
+        call: &DecodedCall,
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<bool, Violation> {
+        let encoding = encode_call(&call.encoded);
+        let site = call.encoded.call_site;
+        let start = self.start();
+        let hit = self
+            .cache
+            .as_deref_mut()
+            .is_some_and(|c| c.check_call(site, &encoding, &call.call_mac));
+        let ok = hit || self.key.verify(&encoding, &call.call_mac);
+        if ok && !hit {
+            if let Some(c) = self.cache.as_deref_mut() {
+                c.record_call(site, &encoding, &call.call_mac);
+            }
+        }
+        checks.push(self.finish(start, CheckKind::CallMac, ok, hit, 0));
+        if ok {
+            Ok(hit)
+        } else {
+            Err(Violation::BadCallMac)
+        }
+    }
+
+    /// Checks authenticated contents against their MAC, serving a
+    /// byte-identical earlier pair from the cache and remembering a freshly
+    /// verified one. `skip_mac` accepts any contents the cache does not
+    /// serve. Returns whether the cache served them, `None` on a mismatch.
+    fn check_blob(
+        &mut self,
+        (addr, _, mac): AsBlob,
+        contents: &[u8],
+        skip_mac: bool,
+    ) -> Option<bool> {
+        let hit = self
+            .cache
+            .as_deref_mut()
+            .is_some_and(|c| c.check_blob(addr, &mac, contents));
+        if !hit && !skip_mac {
+            if !self.key.verify(contents, &mac) {
+                return None;
+            }
+            if let Some(c) = self.cache.as_deref_mut() {
+                c.record_blob(addr, &mac, contents);
+            }
+        }
+        Some(hit)
+    }
+
+    /// §3.4 step 2 for one authenticated string. Returns the bytes read.
+    fn check_string(
+        &mut self,
+        mem: &mut dyn UserMemory,
+        arg: usize,
+        string: AsBlob,
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<u64, Violation> {
+        let contents = mem.read_bytes(string.0, string.1)?;
+        let bytes = contents.len() as u64;
+        let start = self.start();
+        let verdict = self.check_blob(string, &contents, self.accept_any_string);
+        let kind = CheckKind::AuthString { arg };
+        let hit = verdict.unwrap_or(false);
+        checks.push(self.finish(start, kind, verdict.is_some(), hit, bytes));
+        verdict.ok_or(Violation::BadStringMac { arg })?;
+        Ok(bytes)
+    }
+
+    /// One pattern argument (§5): the pattern's integrity, its parse, and
+    /// the hinted match of the live argument string at `value`, all under
+    /// one record. Returns the bytes read.
+    fn check_pattern(
+        &mut self,
+        mem: &mut dyn UserMemory,
+        arg: usize,
+        pattern: AsBlob,
+        value: u32,
+        hint: &[u32],
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<u64, Violation> {
+        let text = mem.read_bytes(pattern.0, pattern.1)?;
+        let mut bytes = text.len() as u64;
+        let start = self.start();
+        let kind = CheckKind::Pattern { arg };
+        let Some(hit) = self.check_blob(pattern, &text, false) else {
+            checks.push(self.finish(start, kind, false, false, bytes));
+            return Err(Violation::BadPattern { arg });
+        };
+        let parsed = std::str::from_utf8(&text)
+            .ok()
+            .and_then(|text| Pattern::parse(text).ok());
+        let Some(parsed) = parsed else {
+            checks.push(self.finish(start, kind, false, hit, bytes));
+            return Err(Violation::BadPattern { arg });
+        };
+        // The actual argument is a C string in user memory.
+        let value = mem.read_cstr(value, MAX_AS_LEN)?;
+        bytes += value.len() as u64;
+        let ok = parsed.match_with_hint(&value, hint);
+        checks.push(self.finish(start, kind, ok, hit, bytes));
+        if ok {
+            Ok(bytes)
+        } else {
+            Err(Violation::PatternMismatch { arg })
+        }
+    }
+
+    /// §5.3: every capability-tracked argument must be an active
+    /// descriptor. Returns the `(argument, fd)` pairs that passed.
+    fn check_capabilities(
+        &self,
+        regs: &AuthCallRegs,
+        descriptor: PolicyDescriptor,
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<Vec<(usize, u32)>, Violation> {
+        let mut passed = Vec::new();
+        for arg in (0..MAX_ARGS).filter(|&i| descriptor.arg_is_capability(i)) {
+            let fd = regs.args[arg];
+            let ok = self.caps.is_none_or(|caps| caps.contains(fd));
+            // A table lookup: no AES, no bytes, and never cached.
+            checks.push(CheckRecord {
+                kind: CheckKind::Capability { arg },
+                passed: ok,
+                aes_blocks: 0,
+                bytes: 0,
+                cache: CacheDecision::Disabled,
+            });
+            if !ok {
+                return Err(Violation::CapabilityViolation { arg, fd });
+            }
+            passed.push((arg, fd));
+        }
+        Ok(passed)
+    }
+
+    /// §3.4 step 3: the predecessor set's integrity, then the policy
+    /// state's MAC and membership, then the counter-advancing update.
+    /// Returns the bytes read.
+    fn check_control_flow(
+        &mut self,
+        mem: &mut dyn UserMemory,
+        regs: &AuthCallRegs,
+        pred_set: AsBlob,
+        checks: &mut Vec<CheckRecord>,
+    ) -> Result<u64, Violation> {
+        let contents = mem.read_bytes(pred_set.0, pred_set.1)?;
+        let bytes = contents.len() as u64;
+        let start = self.start();
+        let verdict = self.check_blob(pred_set, &contents, false);
+        let preds = verdict.and_then(|_| SyscallPolicy::parse_predecessor_bytes(&contents));
+        let hit = verdict.unwrap_or(false);
+        let kind = CheckKind::PredecessorSet;
+        checks.push(self.finish(start, kind, preds.is_some(), hit, bytes));
+        let preds = preds.ok_or(Violation::MalformedPredecessorSet)?;
+
+        let state_bytes = mem.read_bytes(regs.lb_ptr, POLICY_STATE_LEN as u32)?;
+        let state = PolicyState::parse(&state_bytes).expect("exact length read");
+        let start = self.start();
+        let kind = CheckKind::PolicyState;
+        // The state entry is only valid for the current counter epoch: the
+        // kernel wrote these exact bytes itself after the last update, so
+        // re-verifying them would be redundant AES work. Any divergence —
+        // tampered bytes, a different cell, or an advanced counter — takes
+        // the full verification below, where forgery and replay die.
+        let epoch = self.checker.counter();
+        let hit = self
+            .cache
+            .as_deref_mut()
+            .is_some_and(|c| c.check_state(regs.lb_ptr, &state_bytes, epoch));
+        if !hit && !self.checker.verify(self.key, &state) {
+            checks.push(self.finish(start, kind, false, false, 0));
+            return Err(Violation::BadPolicyState);
+        }
+        if !preds.contains(&state.last_block) {
+            checks.push(self.finish(start, kind, false, hit, 0));
+            return Err(Violation::NotInPredecessorSet {
+                last_block: state.last_block,
+            });
+        }
+        // The counter must advance on every successful control-flow check
+        // (it is the anti-replay nonce), so the update always runs.
+        let new_state = self.checker.update(self.key, regs.block_id);
+        mem.write_bytes(regs.lb_ptr, &new_state.to_bytes())?;
+        if let Some(c) = self.cache.as_deref_mut() {
+            c.record_state(regs.lb_ptr, new_state.to_bytes(), self.checker.counter());
+        }
+        checks.push(self.finish(start, kind, true, hit, 0));
+        Ok(bytes)
+    }
+}
+
+/// Reads what the trap presents of the call: the descriptor, the call
+/// MAC, each constrained argument's encoding (string and pattern headers,
+/// pattern hints from the extras block at `R12`), and the predecessor-set
+/// header. Every length read from user memory is bounded here.
+fn decode_call(mem: &dyn UserMemory, regs: &AuthCallRegs) -> Result<DecodedCall, Violation> {
+    let descriptor = PolicyDescriptor::from_bits(regs.pol_des);
+    if descriptor.validate().is_err() {
+        return Err(Violation::BadDescriptor);
+    }
+    let mac_bytes = mem.read_bytes(regs.call_mac_ptr, MAC_LEN as u32)?;
+    let mut call_mac = [0u8; MAC_LEN];
+    call_mac.copy_from_slice(&mac_bytes);
+
+    // Pattern extras block: for each pattern argument in ascending order,
+    // {pattern_as_ptr u32, hint_len u32, hint[hint_len] u32}.
+    let mut extras_cursor = regs.hint_ptr;
+    let mut hints: [Vec<u32>; MAX_ARGS] = Default::default();
+    let mut args = Vec::new();
+    for i in 0..MAX_ARGS {
+        if descriptor.arg_is_immediate(i) {
+            args.push((i, EncodedArg::Immediate(regs.args[i])));
+        } else if descriptor.arg_is_string(i) {
+            let addr = regs.args[i];
+            let (len, mac) = read_as_header(mem, addr, i)?;
+            args.push((i, EncodedArg::AuthString { addr, len, mac }));
+        } else if descriptor.arg_is_pattern(i) {
+            let addr = mem.read_u32(extras_cursor)?;
+            let hint_len = mem.read_u32(extras_cursor + 4)?;
+            if hint_len > 64 {
+                return Err(Violation::BadPattern { arg: i });
+            }
+            for h in 0..hint_len {
+                hints[i].push(mem.read_u32(extras_cursor + 8 + 4 * h)?);
+            }
+            extras_cursor += 8 + 4 * hint_len;
+            let (len, mac) = read_as_header(mem, addr, i)?;
+            args.push((i, EncodedArg::Pattern { addr, len, mac }));
+        } else if descriptor.arg_is_capability(i) {
+            args.push((i, EncodedArg::Capability));
+        }
+    }
+
+    let control_flow = descriptor.control_flow_constrained();
+    let pred_set = if control_flow {
+        let (len, mac) = read_as_header(mem, regs.pred_set_ptr, usize::MAX)?;
+        Some((regs.pred_set_ptr, len, mac))
+    } else {
+        None
+    };
+    let encoded = EncodedCall {
+        syscall_nr: regs.nr as u16,
+        descriptor,
+        call_site: regs.call_site,
+        block_id: regs.block_id,
+        args,
+        pred_set,
+        lb_ptr: control_flow.then_some(regs.lb_ptr),
+    };
+    Ok(DecodedCall {
+        encoded,
+        call_mac,
+        hints,
+    })
+}
+
+/// Derives a check's cache decision from the cache's counters around it
+/// (`None` means no cache was attached).
 fn cache_decision(
     hit: bool,
     before: Option<CacheStats>,
@@ -397,386 +697,6 @@ fn cache_decision(
         }
         _ => CacheDecision::Disabled,
     }
-}
-
-/// [`verify_call_hooked`] with a [`CallMeter`]: when the meter is
-/// recording, every verification check pushes one [`CheckRecord`] — kind,
-/// pass/fail, *measured* AES blocks (snapshotted around the check, so the
-/// records of one call partition `VerifyOutcome::aes_blocks` exactly),
-/// bytes compared, and the cache decision. Metering never changes what is
-/// verified or what the outcome meters charge; with a disabled meter this
-/// is byte-for-byte the un-traced path.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process. The failed check's record is pushed before the
-/// early return, so a recording meter always ends with the check that
-/// killed the call.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_call_traced(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    mut cache: Option<&mut VerifyCache>,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    mut cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-    hooks: VerifyHooks,
-    meter: &mut CallMeter,
-) -> Result<VerifyOutcome, Violation> {
-    let metering = meter.is_recording();
-    // Records one check: AES blocks are the key's block-counter delta
-    // since `$blocks0`, the cache decision comes from the stats delta
-    // since `$stats0` (pass `None` for checks the cache never serves).
-    macro_rules! meter_check {
-        ($kind:expr, $passed:expr, $blocks0:expr, $stats0:expr, $hit:expr, $bytes:expr) => {
-            if metering {
-                meter.record(CheckRecord {
-                    kind: $kind,
-                    passed: $passed,
-                    aes_blocks: key.block_ops().wrapping_sub($blocks0),
-                    bytes: $bytes,
-                    cache: cache_decision($hit, $stats0, cache.as_deref().map(|c| c.stats())),
-                });
-            }
-        };
-    }
-    let blocks_at_entry = key.block_ops();
-    let mut outcome = VerifyOutcome::default();
-    let descriptor = PolicyDescriptor::from_bits(regs.pol_des);
-    if descriptor.validate().is_err() {
-        return Err(Violation::BadDescriptor);
-    }
-
-    // --- Step 1: reconstruct the encoded call and check the call MAC. ---
-    let mac_bytes = mem.read_bytes(regs.call_mac_ptr, MAC_LEN as u32)?;
-    let mut call_mac = [0u8; MAC_LEN];
-    call_mac.copy_from_slice(&mac_bytes);
-
-    // Pattern extras block: for each pattern argument in ascending order,
-    // {pattern_as_ptr u32, hint_len u32, hint[hint_len] u32}.
-    let mut extras_cursor = regs.hint_ptr;
-    let mut pattern_info: Vec<(usize, u32, Vec<u32>)> = Vec::new();
-
-    let mut args = Vec::new();
-    for i in 0..MAX_ARGS {
-        if descriptor.arg_is_immediate(i) {
-            args.push((i, EncodedArg::Immediate(regs.args[i])));
-        } else if descriptor.arg_is_string(i) {
-            let addr = regs.args[i];
-            let (len, mac) = read_as_header(mem, addr, i)?;
-            args.push((i, EncodedArg::AuthString { addr, len, mac }));
-        } else if descriptor.arg_is_pattern(i) {
-            let pat_ptr = mem.read_u32(extras_cursor)?;
-            let hint_len = mem.read_u32(extras_cursor + 4)?;
-            if hint_len > 64 {
-                return Err(Violation::BadPattern { arg: i });
-            }
-            let mut hint = Vec::with_capacity(hint_len as usize);
-            for h in 0..hint_len {
-                hint.push(mem.read_u32(extras_cursor + 8 + 4 * h)?);
-            }
-            extras_cursor += 8 + 4 * hint_len;
-            let (len, mac) = read_as_header(mem, pat_ptr, i)?;
-            args.push((
-                i,
-                EncodedArg::Pattern {
-                    addr: pat_ptr,
-                    len,
-                    mac,
-                },
-            ));
-            pattern_info.push((i, pat_ptr, hint));
-        } else if descriptor.arg_is_capability(i) {
-            args.push((i, EncodedArg::Capability));
-        }
-    }
-
-    let control_flow = descriptor.control_flow_constrained();
-    let pred_set = if control_flow {
-        let (len, mac) = read_as_header(mem, regs.pred_set_ptr, usize::MAX)?;
-        Some((regs.pred_set_ptr, len, mac))
-    } else {
-        None
-    };
-
-    let encoded = EncodedCall {
-        syscall_nr: regs.nr as u16,
-        descriptor,
-        call_site: regs.call_site,
-        block_id: regs.block_id,
-        args,
-        pred_set,
-        lb_ptr: control_flow.then_some(regs.lb_ptr),
-    };
-    let encoding = encode_call(&encoded);
-    let call_blocks0 = key.block_ops();
-    let call_stats0 = cache.as_deref().map(|c| c.stats());
-    let call_cached = match cache.as_deref_mut() {
-        Some(c) => c.check_call(regs.call_site, &encoding, &call_mac),
-        None => false,
-    };
-    if call_cached {
-        outcome.cache_hit = true;
-    } else {
-        if !key.verify(&encoding, &call_mac) {
-            meter_check!(
-                CheckKind::CallMac,
-                false,
-                call_blocks0,
-                call_stats0,
-                false,
-                0
-            );
-            return Err(Violation::BadCallMac);
-        }
-        if let Some(c) = cache.as_deref_mut() {
-            c.record_call(regs.call_site, &encoding, &call_mac);
-        }
-    }
-    meter_check!(
-        CheckKind::CallMac,
-        true,
-        call_blocks0,
-        call_stats0,
-        call_cached,
-        0
-    );
-
-    // --- Step 2: check the integrity of authenticated strings. ---
-    for (i, arg) in &encoded.args {
-        match arg {
-            EncodedArg::AuthString { addr, len, mac } => {
-                let contents = mem.read_bytes(*addr, *len)?;
-                outcome.bytes_checked += contents.len() as u64;
-                let blocks0 = key.block_ops();
-                let stats0 = cache.as_deref().map(|c| c.stats());
-                let cached = cache
-                    .as_deref_mut()
-                    .is_some_and(|c| c.check_blob(*addr, mac, &contents));
-                if !cached && !hooks.accept_any_string {
-                    if !key.verify(&contents, mac) {
-                        meter_check!(
-                            CheckKind::AuthString { arg: *i },
-                            false,
-                            blocks0,
-                            stats0,
-                            false,
-                            contents.len() as u64
-                        );
-                        return Err(Violation::BadStringMac { arg: *i });
-                    }
-                    if let Some(c) = cache.as_deref_mut() {
-                        c.record_blob(*addr, mac, &contents);
-                    }
-                }
-                meter_check!(
-                    CheckKind::AuthString { arg: *i },
-                    true,
-                    blocks0,
-                    stats0,
-                    cached,
-                    contents.len() as u64
-                );
-            }
-            EncodedArg::Pattern { addr, len, mac } => {
-                let pattern_text = mem.read_bytes(*addr, *len)?;
-                outcome.bytes_checked += pattern_text.len() as u64;
-                // One record covers the whole pattern check: AS integrity,
-                // parse, and the hinted match against the live argument.
-                let blocks0 = key.block_ops();
-                let stats0 = cache.as_deref().map(|c| c.stats());
-                let mut pat_bytes = pattern_text.len() as u64;
-                let cached = cache
-                    .as_deref_mut()
-                    .is_some_and(|c| c.check_blob(*addr, mac, &pattern_text));
-                if !cached {
-                    if !key.verify(&pattern_text, mac) {
-                        meter_check!(
-                            CheckKind::Pattern { arg: *i },
-                            false,
-                            blocks0,
-                            stats0,
-                            false,
-                            pat_bytes
-                        );
-                        return Err(Violation::BadPattern { arg: *i });
-                    }
-                    if let Some(c) = cache.as_deref_mut() {
-                        c.record_blob(*addr, mac, &pattern_text);
-                    }
-                }
-                let parsed = std::str::from_utf8(&pattern_text)
-                    .ok()
-                    .and_then(|text| Pattern::parse(text).ok());
-                let Some(pattern) = parsed else {
-                    meter_check!(
-                        CheckKind::Pattern { arg: *i },
-                        false,
-                        blocks0,
-                        stats0,
-                        cached,
-                        pat_bytes
-                    );
-                    return Err(Violation::BadPattern { arg: *i });
-                };
-                let (_, _, hint) = pattern_info
-                    .iter()
-                    .find(|(pi, _, _)| pi == i)
-                    .expect("pattern info collected above");
-                // The actual argument is a C string in user memory.
-                let value = mem.read_cstr(regs.args[*i], MAX_AS_LEN)?;
-                outcome.bytes_checked += value.len() as u64;
-                pat_bytes += value.len() as u64;
-                if !pattern.match_with_hint(&value, hint) {
-                    meter_check!(
-                        CheckKind::Pattern { arg: *i },
-                        false,
-                        blocks0,
-                        stats0,
-                        cached,
-                        pat_bytes
-                    );
-                    return Err(Violation::PatternMismatch { arg: *i });
-                }
-                meter_check!(
-                    CheckKind::Pattern { arg: *i },
-                    true,
-                    blocks0,
-                    stats0,
-                    cached,
-                    pat_bytes
-                );
-            }
-            EncodedArg::Immediate(_) | EncodedArg::Capability => {}
-        }
-    }
-
-    // --- Capability checks (§5.3). ---
-    for i in 0..MAX_ARGS {
-        if descriptor.arg_is_capability(i) {
-            let fd = regs.args[i];
-            let ok = cap_check.as_mut().is_none_or(|f| f(fd));
-            // Capability checks are table lookups: no AES, no bytes, and the
-            // verify cache never applies, so the record is always `Disabled`.
-            meter_check!(
-                CheckKind::Capability { arg: i },
-                ok,
-                key.block_ops(),
-                None::<CacheStats>,
-                false,
-                0
-            );
-            if !ok {
-                return Err(Violation::CapabilityViolation { arg: i, fd });
-            }
-            outcome.capability_args.push((i, fd));
-        }
-    }
-
-    // --- Step 3: control-flow policy. ---
-    if control_flow {
-        let (addr, len, mac) = pred_set.expect("set when control_flow");
-        let contents = mem.read_bytes(addr, len)?;
-        outcome.bytes_checked += contents.len() as u64;
-        let set_blocks0 = key.block_ops();
-        let set_stats0 = cache.as_deref().map(|c| c.stats());
-        let set_bytes = contents.len() as u64;
-        let set_cached = cache
-            .as_deref_mut()
-            .is_some_and(|c| c.check_blob(addr, &mac, &contents));
-        if !set_cached {
-            if !key.verify(&contents, &mac) {
-                meter_check!(
-                    CheckKind::PredecessorSet,
-                    false,
-                    set_blocks0,
-                    set_stats0,
-                    false,
-                    set_bytes
-                );
-                return Err(Violation::MalformedPredecessorSet);
-            }
-            if let Some(c) = cache.as_deref_mut() {
-                c.record_blob(addr, &mac, &contents);
-            }
-        }
-        let Some(preds) = SyscallPolicy::parse_predecessor_bytes(&contents) else {
-            meter_check!(
-                CheckKind::PredecessorSet,
-                false,
-                set_blocks0,
-                set_stats0,
-                set_cached,
-                set_bytes
-            );
-            return Err(Violation::MalformedPredecessorSet);
-        };
-        meter_check!(
-            CheckKind::PredecessorSet,
-            true,
-            set_blocks0,
-            set_stats0,
-            set_cached,
-            set_bytes
-        );
-
-        let state_bytes = mem.read_bytes(regs.lb_ptr, POLICY_STATE_LEN as u32)?;
-        let state = PolicyState::parse(&state_bytes).expect("exact length read");
-        let state_blocks0 = key.block_ops();
-        let state_stats0 = cache.as_deref().map(|c| c.stats());
-        // The state entry is only valid for the current counter epoch: the
-        // kernel wrote these exact bytes itself after the last update, so
-        // re-verifying them would be redundant AES work. Any divergence —
-        // tampered bytes, a different cell, or an advanced counter — takes
-        // the full verification below, where forgery and replay die.
-        let state_cached = cache
-            .as_deref_mut()
-            .is_some_and(|c| c.check_state(regs.lb_ptr, &state_bytes, checker.counter()));
-        if !state_cached && !checker.verify(key, &state) {
-            meter_check!(
-                CheckKind::PolicyState,
-                false,
-                state_blocks0,
-                state_stats0,
-                false,
-                0
-            );
-            return Err(Violation::BadPolicyState);
-        }
-        if !preds.contains(&state.last_block) {
-            meter_check!(
-                CheckKind::PolicyState,
-                false,
-                state_blocks0,
-                state_stats0,
-                state_cached,
-                0
-            );
-            return Err(Violation::NotInPredecessorSet {
-                last_block: state.last_block,
-            });
-        }
-        // The counter must advance on every successful control-flow check
-        // (it is the anti-replay nonce), so the update always runs.
-        let new_state = checker.update(key, regs.block_id);
-        mem.write_bytes(regs.lb_ptr, &new_state.to_bytes())?;
-        if let Some(c) = cache.as_deref_mut() {
-            c.record_state(regs.lb_ptr, new_state.to_bytes(), checker.counter());
-        }
-        outcome.state_updated = true;
-        meter_check!(
-            CheckKind::PolicyState,
-            true,
-            state_blocks0,
-            state_stats0,
-            state_cached,
-            0
-        );
-    }
-
-    outcome.aes_blocks = key.block_ops().wrapping_sub(blocks_at_entry);
-    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -822,6 +742,34 @@ mod tests {
 
     fn key() -> MacKey {
         MacKey::from_seed(1234)
+    }
+
+    /// One cold verification (no cache, no capability tracking).
+    fn verify_cold(
+        key: &MacKey,
+        checker: &mut MemoryChecker,
+        mem: &mut MockMem,
+        regs: &AuthCallRegs,
+    ) -> Result<VerifyOutcome, Violation> {
+        verify_cached(key, checker, None, mem, regs)
+    }
+
+    /// One verification against `cache` (`None` is the cold path).
+    fn verify_cached(
+        key: &MacKey,
+        checker: &mut MemoryChecker,
+        cache: Option<&mut VerifyCache>,
+        mem: &mut MockMem,
+        regs: &AuthCallRegs,
+    ) -> Result<VerifyOutcome, Violation> {
+        let mut verifier = Verifier {
+            key,
+            checker,
+            cache,
+            caps: None,
+            accept_any_string: false,
+        };
+        verifier.verify(mem, regs, &mut Vec::new())
     }
 
     const MAC_ADDR: u32 = 0x9000;
@@ -893,7 +841,7 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let outcome = verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        let outcome = verify_cold(&key(), &mut checker, &mut mem, &regs).unwrap();
         assert!(outcome.state_updated);
         assert!(outcome.aes_blocks >= 5);
         assert_eq!(checker.counter(), 1);
@@ -908,10 +856,10 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        verify_cold(&key(), &mut checker, &mut mem, &regs).unwrap();
         // Re-running the same call: its predecessor set {0, 7} does not
         // contain 9 (the block we just recorded) -> control-flow violation.
-        let err = verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap_err();
+        let err = verify_cold(&key(), &mut checker, &mut mem, &regs).unwrap_err();
         assert_eq!(err, Violation::NotInPredecessorSet { last_block: 9 });
     }
 
@@ -920,8 +868,7 @@ mod tests {
         let mut mem = MockMem::default();
         let mut regs = setup_call(&mut mem);
         regs.nr = 11; // try to turn open into execve
-        let err =
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs).unwrap_err();
         assert_eq!(err, Violation::BadCallMac);
     }
 
@@ -931,7 +878,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.call_site += 8; // call from a different (injected) location
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadCallMac)
         );
     }
@@ -942,7 +889,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.args[1] = 2; // open flags O_RDWR instead of O_RDONLY
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadCallMac)
         );
     }
@@ -954,7 +901,7 @@ mod tests {
         // Attacker clears all constraint bits hoping for a free pass.
         regs.pol_des = PolicyDescriptor::new().with_call_site().bits();
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadCallMac)
         );
     }
@@ -966,7 +913,7 @@ mod tests {
         let regs = setup_call(&mut mem);
         mem.put(AS_ADDR, b"/etc/pass"); // same length, different contents
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadStringMac { arg: 0 })
         );
     }
@@ -980,7 +927,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.args[0] = PS_ADDR;
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadCallMac)
         );
     }
@@ -992,7 +939,7 @@ mod tests {
         // Attacker rewrites the AS length field to a huge value (DoS try).
         mem.put(AS_ADDR - AS_HEADER, &(MAX_AS_LEN + 1).to_le_bytes());
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::StringTooLong { arg: 0 })
         );
     }
@@ -1003,11 +950,11 @@ mod tests {
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
         let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap();
-        verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        verify_cold(&key(), &mut checker, &mut mem, &regs).unwrap();
         // Attacker restores the pre-call state and replays the call.
         mem.put(LB_ADDR, &snapshot);
         assert_eq!(
-            verify_call(&key(), &mut checker, &mut mem, &regs, None),
+            verify_cold(&key(), &mut checker, &mut mem, &regs),
             Err(Violation::BadPolicyState)
         );
     }
@@ -1023,7 +970,7 @@ mod tests {
         state_bytes[0] = 7;
         mem.put(LB_ADDR, &state_bytes);
         assert_eq!(
-            verify_call(&key(), &mut checker, &mut mem, &regs, None),
+            verify_cold(&key(), &mut checker, &mut mem, &regs),
             Err(Violation::BadPolicyState)
         );
     }
@@ -1057,28 +1004,26 @@ mod tests {
             call_mac_ptr: MAC_ADDR,
             hint_ptr: 0,
         };
-        let mut allowed = |fd: u32| fd == 4;
-        let out = verify_call(
-            &k,
-            &mut MemoryChecker::new(),
-            &mut mem,
-            &regs,
-            Some(&mut allowed),
-        )
-        .unwrap();
+        let allowed: CapabilitySet = [4u32].into_iter().collect();
+        let mut checker = MemoryChecker::new();
+        let mut verifier = Verifier {
+            key: &k,
+            checker: &mut checker,
+            cache: None,
+            caps: Some(&allowed),
+            accept_any_string: false,
+        };
+        let mut checks = Vec::new();
+        let out = verifier.verify(&mut mem, &regs, &mut checks).unwrap();
         assert_eq!(out.capability_args, vec![(0, 4)]);
+        assert_eq!(checks.len(), 2, "call MAC and capability records");
+        assert_eq!(checks[1].kind, CheckKind::Capability { arg: 0 });
+        assert!(checks[1].passed);
 
         let mut regs2 = regs;
         regs2.args[0] = 5;
-        let mut allowed = |fd: u32| fd == 4;
         assert_eq!(
-            verify_call(
-                &k,
-                &mut MemoryChecker::new(),
-                &mut mem,
-                &regs2,
-                Some(&mut allowed)
-            ),
+            verifier.verify(&mut mem, &regs2, &mut Vec::new()),
             Err(Violation::CapabilityViolation { arg: 0, fd: 5 })
         );
     }
@@ -1129,11 +1074,11 @@ mod tests {
             call_mac_ptr: MAC_ADDR,
             hint_ptr: EXTRA_ADDR,
         };
-        verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap();
+        verify_cold(&k, &mut MemoryChecker::new(), &mut mem, &regs).unwrap();
 
         // A non-matching argument fails even with a "creative" hint.
         mem.put(ARG_ADDR, b"/etc/passwd\0\0\0\0");
-        let err = verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify_cold(&k, &mut MemoryChecker::new(), &mut mem, &regs).unwrap_err();
         assert_eq!(err, Violation::PatternMismatch { arg: 0 });
     }
 
@@ -1155,7 +1100,7 @@ mod tests {
             hint_ptr: 0,
         };
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadDescriptor)
         );
     }
@@ -1186,7 +1131,7 @@ mod tests {
         };
         mem.put(MAC_ADDR, &[0u8; 16]);
         assert_eq!(
-            verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&k, &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::BadPattern { arg: 0 })
         );
     }
@@ -1199,7 +1144,7 @@ mod tests {
         let mut mem = MockMem::default();
         let mut regs = setup_call(&mut mem);
         regs.nr = 0x0007_0005;
-        let out = verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None);
+        let out = verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs);
         assert!(out.is_ok(), "{out:?}");
     }
 
@@ -1211,8 +1156,7 @@ mod tests {
         let regs = setup_call(&mut mem);
         let ps_header = mem.read_bytes(PS_ADDR - AS_HEADER, 20).unwrap();
         mem.put(AS_ADDR - AS_HEADER, &ps_header);
-        let err =
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs).unwrap_err();
         // The call MAC covers the (addr, len, mac) tuple, so the forgery
         // dies at step 1.
         assert_eq!(err, Violation::BadCallMac);
@@ -1261,14 +1205,12 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
+        let mut cache = VerifyCache::new();
         let k = key();
-        let cold =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let cold = verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         assert!(!cold.cache_hit);
         assert!(cold.aes_blocks >= 2, "call MAC + string MAC");
-        let warm =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let warm = verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.aes_blocks, 0, "identical call: no AES at all");
         assert_eq!(
@@ -1287,12 +1229,12 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
+        let mut cache = VerifyCache::new();
         let k = key();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         mem.put(AS_ADDR, b"/etc/pass");
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None),
+            verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs),
             Err(Violation::BadStringMac { arg: 0 })
         );
     }
@@ -1302,13 +1244,13 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
+        let mut cache = VerifyCache::new();
         let k = key();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         let mut forged = regs;
         forged.nr = 11; // execve from the cached open site
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &forged, None),
+            verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &forged),
             Err(Violation::BadCallMac)
         );
     }
@@ -1345,15 +1287,13 @@ mod tests {
             hint_ptr: 0,
         };
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let cold =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        let cold = verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         assert!(
             cold.aes_blocks >= 4,
             "call MAC, pred set, state verify, state update"
         );
-        let warm =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let warm = verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(
             warm.aes_blocks, 1,
@@ -1375,13 +1315,13 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
+        let mut cache = VerifyCache::new();
         let k = key();
         let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs).unwrap();
         mem.put(LB_ADDR, &snapshot);
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None),
+            verify_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs),
             Err(Violation::BadPolicyState)
         );
     }
@@ -1408,16 +1348,15 @@ mod tests {
             let mut warm_regs = setup_call(&mut warm_mem);
             let k = key();
             let mut warm_checker = MemoryChecker::new();
-            let mut cache = crate::cache::VerifyCache::new();
+            let mut cache = VerifyCache::new();
             // Warm the cache with one legitimate call, then reset state so
             // both runs see the same control-flow position.
-            verify_call_cached(
+            verify_cached(
                 &k,
                 &mut warm_checker,
                 Some(&mut cache),
                 &mut warm_mem,
                 &warm_regs,
-                None,
             )
             .unwrap();
             let mut warm_mem = MockMem::default();
@@ -1425,20 +1364,13 @@ mod tests {
             f(&mut cold_mem, &mut cold_regs);
             f(&mut warm_mem, &mut warm_regs2);
             warm_regs = warm_regs2;
-            let cold = verify_call(
-                &k,
-                &mut MemoryChecker::new(),
-                &mut cold_mem,
-                &cold_regs,
-                None,
-            );
-            let warm = verify_call_cached(
+            let cold = verify_cold(&k, &mut MemoryChecker::new(), &mut cold_mem, &cold_regs);
+            let warm = verify_cached(
                 &k,
                 &mut MemoryChecker::new(),
                 Some(&mut cache),
                 &mut warm_mem,
                 &warm_regs,
-                None,
             );
             assert_eq!(cold.is_ok(), warm.is_ok(), "verdicts diverged");
             if let (Err(c), Err(w)) = (&cold, &warm) {
@@ -1462,7 +1394,7 @@ mod tests {
             hint_ptr: 0,
         };
         assert!(matches!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify_cold(&key(), &mut MemoryChecker::new(), &mut mem, &regs),
             Err(Violation::MemoryFault { .. })
         ));
     }

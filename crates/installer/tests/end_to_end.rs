@@ -18,7 +18,7 @@ fn install(src: &str, name: &str) -> (asc_object::Binary, asc_installer::Install
     installer.install(&binary, name).expect("installs")
 }
 
-fn run_enforcing(binary: &asc_object::Binary, stdin: &[u8]) -> (RunOutcome, Kernel) {
+fn run_enforced(binary: &asc_object::Binary, stdin: &[u8]) -> (RunOutcome, Kernel) {
     let mut kernel = Kernel::new(KernelOptions::enforcing(Personality::Linux));
     kernel.set_key(key());
     kernel.set_stdin(stdin.to_vec());
@@ -51,7 +51,7 @@ fn installed_hello_runs_under_enforcement() {
     assert!(auth.section_by_name(".asc").is_some());
     assert_eq!(report.policy.sites(), 2);
     assert_eq!(report.stats.calls, 2);
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),
@@ -68,7 +68,7 @@ fn unmodified_binary_fails_under_enforcement() {
     // An uninstalled binary's calls carry no MACs: every call is
     // "unauthenticated" and the process dies on its first syscall.
     let binary = assemble(HELLO).unwrap();
-    let (outcome, kernel) = run_enforcing(&binary, b"");
+    let (outcome, kernel) = run_enforced(&binary, b"");
     assert!(outcome.is_killed(), "{outcome:?}");
     assert_eq!(kernel.alerts().len(), 1);
 }
@@ -102,7 +102,7 @@ fn stub_calls_are_inlined_and_run() {
     );
     // 2 stub sites + 2 inlined sites = 4 policies.
     assert_eq!(report.policy.sites(), 4);
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),
@@ -154,7 +154,7 @@ fn string_arguments_are_authenticated_and_repointed() {
         ArgPolicy::StringLit(b"/etc/motd".to_vec())
     );
     assert_eq!(open_policy.args[1], ArgPolicy::Immediate(0));
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),
@@ -185,7 +185,7 @@ fn control_flow_order_is_enforced() {
         syscall
     "#;
     let (auth, report) = install(src, "loopy");
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),
@@ -222,7 +222,7 @@ fn data_section_references_survive_relayout() {
     table: .word target
     "#;
     let (auth, _) = install(src, "tabled");
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),
@@ -263,7 +263,7 @@ fn without_control_flow_option() {
     for p in report.policy.iter() {
         assert!(p.predecessors.is_none());
     }
-    let (outcome, kernel) = run_enforcing(&auth, b"");
+    let (outcome, kernel) = run_enforced(&auth, b"");
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),

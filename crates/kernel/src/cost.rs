@@ -4,7 +4,7 @@
 //! "Original Cost" column (getpid ≈ 1141, gettimeofday ≈ 1395,
 //! read(4096) ≈ 7324, write(4096) ≈ 39479, brk ≈ 1155 cycles) and the
 //! verification cost emerges from the cryptographic work counted by
-//! `asc-core::verify_call` (≈ 8–10 AES blocks/call → ≈ 4,000 cycles,
+//! `asc_core::Verifier` (≈ 8–10 AES blocks/call → ≈ 4,000 cycles,
 //! Table 4's authenticated-minus-original gap).
 
 use asc_core::VerifyOutcome;
@@ -91,7 +91,7 @@ impl CostModel {
         fixed + per_byte
     }
 
-    /// Verification cost given the metering from `verify_call`.
+    /// Verification cost given the verifier's metering.
     pub fn verify_cost(&self, aes_blocks: u64, bytes_checked: u64) -> u64 {
         self.verify_fixed
             + aes_blocks * self.cycles_per_aes_block

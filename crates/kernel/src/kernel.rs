@@ -2,19 +2,23 @@
 //! authenticated-system-call checking glue.
 //!
 //! The paper's kernel modification is ~250 lines inside the trap handler;
-//! the analogue here is [`Kernel::handle_trap`]'s enforcement block, which
-//! delegates the three checks of §3.4 to `asc_core::verify_call` and turns
-//! any [`Violation`] into fail-stop process termination plus an
-//! administrator alert.
+//! the analogue here is the enforcing half of `Kernel::handle_trap`: small
+//! ordered stages — the trapped registers (with any armed [`TrapFault`]),
+//! the origin check against `.ascsites`, the flow edge, and the MAC suite
+//! (`asc_core::Verifier`, §3.4's three checks) — each filling one
+//! per-trap record. A final stage folds that record once into
+//! [`KernelStats`], the metrics registry and the trace sink, and turns any
+//! [`Violation`] into fail-stop process termination plus an administrator
+//! alert.
 
 use asc_core::{
-    verify_call_traced, AuthCallRegs, CacheStats, FlowGraph, SiteRegistry, UserMemory, VerifyCache,
-    VerifyHooks, VerifyOutcome, Violation, FLOW_START,
+    AuthCallRegs, CacheStats, FlowGraph, SiteRegistry, UserMemory, Verifier, VerifyCache,
+    VerifyOutcome, Violation, FLOW_START,
 };
 use asc_crypto::{CapabilitySet, MacKey, MemoryChecker};
 use asc_isa::Reg;
 use asc_trace::{
-    CacheDecision, CallMeter, CheckKind, CheckRecord, Event, EventKind, Severity, SpanId, TraceSink,
+    CacheDecision, CheckKind, CheckRecord, Event, EventKind, Severity, SpanId, TraceSink,
 };
 use asc_vm::{MemFault, Memory, SyscallHandler, TrapContext, TrapOutcome};
 
@@ -199,13 +203,6 @@ pub struct KernelOptions {
     /// §5.3 capability tracking: verify capability-bit arguments against
     /// the active-descriptor set and maintain it on open/close.
     pub capability_tracking: bool,
-    /// §5.4 file-name normalisation is always performed by the path
-    /// resolver (symlinks and dot components are canonicalised before
-    /// use); this flag is informational and reserved for policies that
-    /// would compare against pre-normalisation names.
-    pub normalize_paths: bool,
-    /// Charge deterministic cycle costs (disable for pure functional runs).
-    pub charge_costs: bool,
     /// Enable the verified-call cache (the warm fast path): repeated
     /// identical calls skip AES recomputation and are charged only for the
     /// cryptographic work actually performed. Off by default so the
@@ -213,7 +210,7 @@ pub struct KernelOptions {
     /// the fast-path numbers are reported separately.
     pub verify_cache: bool,
     /// **Test-only** deliberate weakening: skip the authenticated-string
-    /// contents check (`asc_core::VerifyHooks::accept_any_string`). Exists
+    /// contents check (`asc_core::Verifier::accept_any_string`). Exists
     /// so the fault-injection campaign can prove its oracle detects a
     /// verifier that fails open; never enable outside that experiment.
     pub weaken_string_check: bool,
@@ -231,8 +228,6 @@ impl KernelOptions {
             personality,
             enforce: false,
             capability_tracking: false,
-            normalize_paths: false,
-            charge_costs: true,
             verify_cache: false,
             weaken_string_check: false,
             verify_tier: VerifyTier::Mac,
@@ -326,6 +321,38 @@ pub enum FaultAction {
     },
 }
 
+/// Everything one enforced trap produced. The check stages fill it in
+/// order and [`Kernel::settle`] folds it once into `KernelStats`, the
+/// metrics registry and the trace sink. The kernel keeps one and resets it
+/// per trap, reusing its check buffer.
+#[derive(Debug, Default)]
+pub(crate) struct TrapRecord {
+    /// The trap's span (allocated only when a sink wants events).
+    pub(crate) span: SpanId,
+    /// The trapping pc.
+    pub(crate) site: u32,
+    /// The raw syscall number in the machine's `R0`.
+    pub(crate) nr: u16,
+    /// The virtual clock when the trap arrived: every event's timestamp.
+    pub(crate) at_cycles: u64,
+    /// The verifier's copy of the trapped registers (stage 1).
+    pub(crate) regs: AuthCallRegs,
+    /// One record per check that ran, in order.
+    pub(crate) checks: Vec<CheckRecord>,
+    /// The MAC suite's metering (default under flow-only).
+    pub(crate) outcome: VerifyOutcome,
+    /// Cache entries found stale during this trap.
+    pub(crate) fallbacks: u64,
+    /// Poisoned cache state entries scrubbed during this trap.
+    pub(crate) scrubs: u64,
+    /// How the cache took part in a pass (`PATH_*`).
+    pub(crate) path: usize,
+    /// Verification cycles charged on a pass.
+    pub(crate) verify_cycles: u64,
+    /// The fixed (check-independent) term of `verify_cycles`.
+    pub(crate) fixed_cycles: u64,
+}
+
 /// The simulated kernel for one process.
 pub struct Kernel {
     pub(crate) opts: KernelOptions,
@@ -388,6 +415,8 @@ pub struct Kernel {
     metrics: Option<Box<KernelMetrics>>,
     /// Next span id to allocate (one span per enforced trap).
     next_span: u64,
+    /// The current (or last) enforced trap's record.
+    record: TrapRecord,
     /// Bytes moved by the last I/O-style call (input to the cost model).
     pub(crate) last_io_bytes: u64,
 }
@@ -463,6 +492,7 @@ impl Kernel {
             trace_sink: None,
             metrics: None,
             next_span: 0,
+            record: TrapRecord::default(),
             last_io_bytes: 0,
         }
     }
@@ -707,360 +737,345 @@ impl Kernel {
             let id = m.syscalls;
             m.inc(id);
         }
-        let mut charged = 0u64;
-        if self.opts.charge_costs {
-            charged += self.cost.trap_base;
-        }
-
-        // --- The paper's kernel modification: verify before dispatch. ---
+        let mut charged = self.cost.trap_base;
         if self.opts.enforce {
-            // Borrow the long-lived key: its AES round keys and CMAC
-            // subkeys were expanded once at `set_key` time and are reused
-            // for every trap (re-deriving the schedule per call would
-            // dwarf the short-message MAC itself). A fleet goes one step
-            // further and shares one expanded schedule across every
-            // kernel (`MacKey::shared_schedule`).
-            let Some(key) = self.key.as_ref() else {
-                return TrapOutcome::Kill("kernel misconfigured: enforcing without a key".into());
-            };
-            // Telemetry is armed only when a sink is attached *and* wants
-            // events; otherwise no span is allocated, no meter records,
-            // and no event is ever built (the no-perturbation rule).
-            let tracing = self.trace_sink.as_ref().is_some_and(|s| s.enabled());
-            // The span carries the pid dimension in its high bits; for the
-            // default pid 1 this is the identity encoding, so
-            // single-process trace output is byte-identical.
-            let span = SpanId::for_pid(self.pid, self.next_span);
-            if tracing {
-                self.next_span += 1;
-                if let Some(sink) = self.trace_sink.as_mut() {
-                    sink.record(Event {
-                        span,
-                        at_cycles: ctx.cycles(),
-                        severity: Severity::Info,
-                        kind: EventKind::TrapEnter {
-                            site: ctx.pc,
-                            nr: ctx.reg(Reg::R0) as u16,
-                        },
-                    });
-                }
-            }
-            let fired = match &self.fault {
-                Some(f) if f.at_trap == self.stats.syscalls => self.fault.take(),
-                _ => None,
-            };
-            let mut regs = AuthCallRegs {
-                nr: ctx.reg(Reg::R0),
-                call_site: ctx.pc,
-                args: [
-                    ctx.reg(Reg::R1),
-                    ctx.reg(Reg::R2),
-                    ctx.reg(Reg::R3),
-                    ctx.reg(Reg::R4),
-                    ctx.reg(Reg::R5),
-                    ctx.reg(Reg::R6),
-                ],
-                pol_des: ctx.reg(Reg::R7),
-                block_id: ctx.reg(Reg::R8),
-                pred_set_ptr: ctx.reg(Reg::R9),
-                lb_ptr: ctx.reg(Reg::R10),
-                call_mac_ptr: ctx.reg(Reg::R11),
-                hint_ptr: ctx.reg(Reg::R12),
-            };
-            if let Some(f) = fired {
-                match f.action {
-                    FaultAction::XorReg { index, mask } => {
-                        let mask = if mask == 0 { 1 } else { mask };
-                        match index {
-                            0 => regs.nr ^= mask,
-                            1..=6 => regs.args[index as usize - 1] ^= mask,
-                            7 => regs.pol_des ^= mask,
-                            8 => regs.block_id ^= mask,
-                            9 => regs.pred_set_ptr ^= mask,
-                            10 => regs.lb_ptr ^= mask,
-                            11 => regs.call_mac_ptr ^= mask,
-                            _ => regs.hint_ptr ^= mask,
-                        }
-                    }
-                    FaultAction::SkewCounter { delta } => {
-                        self.checker.skew_counter_for_fault(delta);
-                    }
-                    FaultAction::CorruptCache { selector, mask } => {
-                        self.verify_cache.corrupt_entry_for_fault(selector, mask);
-                    }
-                    FaultAction::SkewCacheEpoch { delta } => {
-                        self.verify_cache.skew_state_epoch_for_fault(delta);
-                    }
-                }
-            }
-            // The metrics registry needs the per-check partition too, so
-            // the meter records whenever either consumer is attached.
-            let metering = self.metrics.is_some();
-            let mut meter = if tracing || metering {
-                CallMeter::recording()
-            } else {
-                CallMeter::disabled()
-            };
-            // --- Origin privilege: the trap pc must be a rewritten site. ---
-            // Checked on the *trusted* trap pc (not the verifier's
-            // register copy — the pc comes from the trap itself and
-            // cannot be forged) before the flow and MAC paths, under
-            // every tier: a raw `SYSCALL` gadget outside the installed
-            // `.ascsites` registry has no policy to verify, so the only
-            // sound response is an immediate fail-stop — zero side
-            // effects, zero AES work. Silent on the pass path (a pure
-            // set probe charged no cycles), so registry-free harnesses
-            // and existing traces are byte-identical.
-            if let Some(sites) = self.sites.as_ref() {
-                if !sites.contains(ctx.pc) {
-                    let violation = Violation::UnrewrittenSite { pc: ctx.pc };
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
-            }
-            // --- The SFIP flow tier: digraph membership pre-filter. ---
-            // Checked on the verifier's copy of the registers (so armed
-            // faults hit it like every other check) and *before* the MAC
-            // suite and dispatch: a bad edge fail-stops with zero side
-            // effects and zero AES work.
-            let tier = self.opts.verify_tier;
-            if tier.checks_flow() {
-                let Some(flow) = self.flow.as_ref() else {
-                    return TrapOutcome::Kill(
-                        "kernel misconfigured: flow tier without a digraph".into(),
-                    );
-                };
-                let from = self.last_syscall.unwrap_or(FLOW_START);
-                let to = regs.nr as u16;
-                let passed = flow.contains(from, to);
-                meter.record(CheckRecord {
-                    kind: CheckKind::FlowEdge,
-                    passed,
-                    aes_blocks: 0,
-                    bytes: 0,
-                    cache: CacheDecision::Disabled,
-                });
-                if !passed {
-                    if tracing {
-                        let at = ctx.cycles();
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            // Killed calls are charged no verification
-                            // cycles (same convention as a MAC failure).
-                            for record in &meter.checks {
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: Severity::Warn,
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles: 0,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    let violation = Violation::BadFlowEdge { from, to };
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
-            }
-            let mut mem = VmUserMemory(ctx.mem);
-            let caps = &self.caps;
-            let tracking = self.opts.capability_tracking;
-            let mut cap_check = |fd: u32| caps.contains(fd);
-            let hooks = VerifyHooks {
-                accept_any_string: self.opts.weaken_string_check,
-            };
-            // With no cache in play the stats are identically zero, so the
-            // deltas below are zero too.
-            let caching = self.opts.verify_cache && tier.checks_mac();
-            let cache_before = if caching {
-                self.verify_cache.stats()
-            } else {
-                CacheStats::default()
-            };
-            let cache = caching.then_some(&mut self.verify_cache);
-            // Flow-only skips the MAC suite entirely: the digraph probe
-            // above *is* the verification, and the outcome carries zero
-            // AES blocks, zero bytes, and no cache participation.
-            let result = if tier.checks_mac() {
-                verify_call_traced(
-                    key,
-                    &mut self.checker,
-                    cache,
-                    &mut mem,
-                    &regs,
-                    tracking.then_some(&mut cap_check as &mut dyn FnMut(u32) -> bool),
-                    hooks,
-                    &mut meter,
-                )
-            } else {
-                Ok(VerifyOutcome::default())
-            };
-            let cache_after = if caching {
-                self.verify_cache.stats()
-            } else {
-                CacheStats::default()
-            };
-            let fallback_delta = cache_after.stale_misses - cache_before.stale_misses;
-            let scrub_delta = cache_after.scrubs - cache_before.scrubs;
-            self.stats.cache_fallbacks += fallback_delta;
-            self.stats.cache_scrubs += scrub_delta;
-            match result {
-                Ok(outcome) => {
-                    self.stats.verified += 1;
-                    // Advance the flow state: this (verified) call is the
-                    // next call's predecessor. Tracked under every tier so
-                    // switching tiers never changes what the state means.
-                    self.last_syscall = Some(regs.nr as u16);
-                    if tier.checks_mac() && regs.lb_ptr != 0 {
-                        self.last_policy_cell = Some(regs.lb_ptr);
-                    }
-                    self.stats.verify_aes_blocks += outcome.aes_blocks;
-                    if outcome.cache_hit {
-                        self.stats.cache_hits += 1;
-                        self.stats.warm_aes_blocks += outcome.aes_blocks;
-                    }
-                    // Charged verification cycles: the fixed flow-probe
-                    // term under the flow tiers, plus the metered MAC cost
-                    // under the MAC tiers — so mac+flow is priced as
-                    // exactly mac plus the probe.
-                    let vc = if self.opts.charge_costs {
-                        let flow_term = if tier.checks_flow() {
-                            self.cost.flow_check
-                        } else {
-                            0
-                        };
-                        let mac_term = if tier.checks_mac() {
-                            self.cost.verify_cost_for(&outcome)
-                        } else {
-                            0
-                        };
-                        flow_term + mac_term
-                    } else {
-                        0
-                    };
-                    if self.opts.charge_costs {
-                        self.stats.verify_cycles += vc;
-                        if outcome.cache_hit {
-                            self.stats.warm_verify_cycles += vc;
-                        }
-                        charged += vc;
-                    }
-                    // The warm counters partition the totals; a violation
-                    // here means warm work was double counted somewhere.
-                    debug_assert!(
-                        self.stats.warm_aes_blocks <= self.stats.verify_aes_blocks,
-                        "warm AES blocks exceed total"
-                    );
-                    debug_assert!(
-                        self.stats.warm_verify_cycles <= self.stats.verify_cycles,
-                        "warm verify cycles exceed total"
-                    );
-                    debug_assert!(
-                        self.stats.cache_hits + self.stats.cache_fallbacks <= self.stats.verified,
-                        "more cache outcomes than verified calls"
-                    );
-                    if let Some(m) = self.metrics.as_mut() {
-                        let path = if outcome.cache_hit {
-                            PATH_WARM
-                        } else if fallback_delta > 0 {
-                            PATH_FALLBACK
-                        } else if scrub_delta > 0 {
-                            PATH_SCRUB
-                        } else {
-                            PATH_COLD
-                        };
-                        let charge_costs = self.opts.charge_costs;
-                        // The per-call fixed term is a MAC-suite cost; the
-                        // flow probe's whole cost lives in its check
-                        // record, so flow-only's fixed term is zero and
-                        // the check/fixed partition still reconstructs vc.
-                        let fixed = if charge_costs && tier.checks_mac() {
-                            self.cost.verify_fixed_for(outcome.cache_hit)
-                        } else {
-                            0
-                        };
-                        m.record_verified(
-                            path,
-                            vc,
-                            fixed,
-                            &outcome,
-                            &meter.checks,
-                            &self.cost,
-                            charge_costs,
-                            self.opts.verify_cache,
-                        );
-                    }
-                    if tracing {
-                        let at = ctx.cycles();
-                        let fixed = if self.opts.charge_costs && tier.checks_mac() {
-                            self.cost.verify_fixed_for(outcome.cache_hit)
-                        } else {
-                            0
-                        };
-                        let cost = self.cost;
-                        let charge_costs = self.opts.charge_costs;
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            for record in &meter.checks {
-                                let cycles = if charge_costs {
-                                    cost.check_cost_of(record)
-                                } else {
-                                    0
-                                };
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: Severity::Info,
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles,
-                                    },
-                                });
-                            }
-                            sink.record(Event {
-                                span,
-                                at_cycles: at,
-                                severity: Severity::Info,
-                                kind: EventKind::TrapExit {
-                                    verified: true,
-                                    cache_hit: outcome.cache_hit,
-                                    verify_cycles: vc,
-                                    fixed_cycles: fixed,
-                                },
-                            });
-                        }
-                    }
-                }
-                Err(violation) => {
-                    if tracing {
-                        let at = ctx.cycles();
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            // Failed calls are charged no verification
-                            // cycles, so the per-check cycle attribution
-                            // is 0; the AES blocks they burnt are real
-                            // and are reported.
-                            for record in &meter.checks {
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: if record.passed {
-                                        Severity::Info
-                                    } else {
-                                        Severity::Warn
-                                    },
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles: 0,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
+            match self.enforce(ctx) {
+                Ok(verify_cycles) => charged += verify_cycles,
+                Err(killed) => return killed,
             }
         }
+        self.dispatch_trap(ctx, charged)
+    }
 
-        // --- Resolve the call, including OpenBSD __syscall indirection. ---
+    /// The paper's kernel modification: §3.4's checks, in order, before
+    /// dispatch. The stages fill the trap's [`TrapRecord`]; [`Kernel::settle`]
+    /// folds it. Returns the verify cycles to charge, or the kill.
+    fn enforce(&mut self, ctx: &mut TrapContext<'_>) -> Result<u64, TrapOutcome> {
+        if self.key.is_none() {
+            return Err(TrapOutcome::Kill(
+                "kernel misconfigured: enforcing without a key".into(),
+            ));
+        }
+        self.open_record(ctx);
+        self.trapped_regs(ctx);
+        if let Err(violation) = self.check_origin(ctx.pc) {
+            return self.settle(ctx, Err(violation));
+        }
+        if self.opts.verify_tier.checks_flow() && self.flow.is_none() {
+            self.emit_span(None);
+            return Err(TrapOutcome::Kill(
+                "kernel misconfigured: flow tier without a digraph".into(),
+            ));
+        }
+        let verdict = self.check_flow().and_then(|()| self.check_mac(ctx.mem));
+        self.settle(ctx, verdict)
+    }
+
+    /// Starts the trap's record, reusing its check buffer. A span id is
+    /// allocated only when a sink wants events (the no-perturbation rule);
+    /// it carries the pid in its high bits, which for the default pid 1 is
+    /// the identity encoding, so single-process traces are unchanged.
+    fn open_record(&mut self, ctx: &TrapContext<'_>) {
+        let span = SpanId::for_pid(self.pid, self.next_span);
+        if self.trace_sink.as_ref().is_some_and(|s| s.enabled()) {
+            self.next_span += 1;
+        }
+        let mut checks = std::mem::take(&mut self.record.checks);
+        checks.clear();
+        self.record = TrapRecord {
+            span,
+            site: ctx.pc,
+            nr: ctx.reg(Reg::R0) as u16,
+            at_cycles: ctx.cycles(),
+            checks,
+            ..TrapRecord::default()
+        };
+    }
+
+    /// Stage 1: the trapped registers as the verifier sees them, with an
+    /// armed [`TrapFault`] applied if this is its trap. Only this copy is
+    /// corrupted; the machine's register file is untouched.
+    fn trapped_regs(&mut self, ctx: &TrapContext<'_>) {
+        let regs = &mut self.record.regs;
+        *regs = AuthCallRegs {
+            nr: ctx.reg(Reg::R0),
+            call_site: ctx.pc,
+            args: [
+                ctx.reg(Reg::R1),
+                ctx.reg(Reg::R2),
+                ctx.reg(Reg::R3),
+                ctx.reg(Reg::R4),
+                ctx.reg(Reg::R5),
+                ctx.reg(Reg::R6),
+            ],
+            pol_des: ctx.reg(Reg::R7),
+            block_id: ctx.reg(Reg::R8),
+            pred_set_ptr: ctx.reg(Reg::R9),
+            lb_ptr: ctx.reg(Reg::R10),
+            call_mac_ptr: ctx.reg(Reg::R11),
+            hint_ptr: ctx.reg(Reg::R12),
+        };
+        let fired = match &self.fault {
+            Some(f) if f.at_trap == self.stats.syscalls => self.fault.take(),
+            _ => None,
+        };
+        let Some(fault) = fired else { return };
+        match fault.action {
+            FaultAction::XorReg { index, mask } => {
+                let mask = if mask == 0 { 1 } else { mask };
+                match index {
+                    0 => regs.nr ^= mask,
+                    1..=6 => regs.args[index as usize - 1] ^= mask,
+                    7 => regs.pol_des ^= mask,
+                    8 => regs.block_id ^= mask,
+                    9 => regs.pred_set_ptr ^= mask,
+                    10 => regs.lb_ptr ^= mask,
+                    11 => regs.call_mac_ptr ^= mask,
+                    _ => regs.hint_ptr ^= mask,
+                }
+            }
+            FaultAction::SkewCounter { delta } => self.checker.skew_counter_for_fault(delta),
+            FaultAction::CorruptCache { selector, mask } => {
+                self.verify_cache.corrupt_entry_for_fault(selector, mask);
+            }
+            FaultAction::SkewCacheEpoch { delta } => {
+                self.verify_cache.skew_state_epoch_for_fault(delta);
+            }
+        }
+    }
+
+    /// Stage 2, origin privilege: the trap pc must be a rewritten site.
+    /// Checked on the *trusted* trap pc (it comes from the trap itself and
+    /// cannot be forged) under every tier: a raw `SYSCALL` gadget outside
+    /// the installed `.ascsites` registry has no policy to verify, so the
+    /// only sound response is an immediate fail-stop — zero side effects,
+    /// zero AES work. A pass is a pure set probe that records nothing and
+    /// is charged nothing, so registry-free harnesses are unchanged.
+    fn check_origin(&self, pc: u32) -> Result<(), Violation> {
+        match &self.sites {
+            Some(sites) if !sites.contains(pc) => Err(Violation::UnrewrittenSite { pc }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Stage 3, the SFIP flow pre-filter under the flow tiers: the
+    /// `(last syscall, this syscall)` edge must be in the installed
+    /// digraph. Checked on the verifier's copy of the registers, so armed
+    /// faults hit it like every other check, and before the MAC suite: a
+    /// bad edge fail-stops with zero side effects and zero AES work.
+    fn check_flow(&mut self) -> Result<(), Violation> {
+        let tier = self.opts.verify_tier;
+        let Some(flow) = self.flow.as_ref().filter(|_| tier.checks_flow()) else {
+            return Ok(());
+        };
+        let from = self.last_syscall.unwrap_or(FLOW_START);
+        let to = self.record.regs.nr as u16;
+        let passed = flow.contains(from, to);
+        self.record.checks.push(CheckRecord {
+            kind: CheckKind::FlowEdge,
+            passed,
+            aes_blocks: 0,
+            bytes: 0,
+            cache: CacheDecision::Disabled,
+        });
+        if passed {
+            Ok(())
+        } else {
+            Err(Violation::BadFlowEdge { from, to })
+        }
+    }
+
+    /// Stage 4, the MAC suite (§3.4) under the MAC tiers. Flow-only skips
+    /// it: the digraph probe *is* that tier's verification, and its outcome
+    /// carries no AES blocks, no bytes and no cache participation.
+    fn check_mac(&mut self, mem: &mut Memory) -> Result<VerifyOutcome, Violation> {
+        if !self.opts.verify_tier.checks_mac() {
+            return Ok(VerifyOutcome::default());
+        }
+        // The long-lived key's AES round keys and CMAC subkeys were
+        // expanded once at `set_key` time and are reused for every trap
+        // (re-deriving the schedule per call would dwarf the short-message
+        // MAC itself).
+        let key = self.key.as_ref().expect("enforce() checked the key");
+        let before = self.verify_cache.stats();
+        let mut verifier = Verifier {
+            key,
+            checker: &mut self.checker,
+            cache: self.opts.verify_cache.then_some(&mut self.verify_cache),
+            caps: self.opts.capability_tracking.then_some(&self.caps),
+            accept_any_string: self.opts.weaken_string_check,
+        };
+        let record = &mut self.record;
+        let verdict = verifier.verify(&mut VmUserMemory(mem), &record.regs, &mut record.checks);
+        let after = self.verify_cache.stats();
+        record.fallbacks = after.stale_misses - before.stale_misses;
+        record.scrubs = after.scrubs - before.scrubs;
+        verdict
+    }
+
+    /// Stage 5: folds the trap's record, once, into `KernelStats`, the
+    /// metrics registry and the trace sink. A violation becomes the
+    /// fail-stop kill; a pass returns the verify cycles to charge.
+    fn settle(
+        &mut self,
+        ctx: &mut TrapContext<'_>,
+        verdict: Result<VerifyOutcome, Violation>,
+    ) -> Result<u64, TrapOutcome> {
+        self.stats.cache_fallbacks += self.record.fallbacks;
+        self.stats.cache_scrubs += self.record.scrubs;
+        match verdict {
+            Ok(outcome) => Ok(self.settle_pass(outcome)),
+            Err(violation) => Err(self.kill(ctx, violation)),
+        }
+    }
+
+    fn settle_pass(&mut self, outcome: VerifyOutcome) -> u64 {
+        let tier = self.opts.verify_tier;
+        let cost = self.cost;
+        let record = &mut self.record;
+        // Charged verification cycles: the flow probe under the flow
+        // tiers plus the metered MAC cost under the MAC tiers, so mac+flow
+        // is priced as exactly mac plus the probe. The fixed term is a
+        // MAC-suite cost; the probe's whole cost lives in its check record,
+        // so the check/fixed partition reconstructs the charge either way.
+        let flow_term = if tier.checks_flow() {
+            cost.flow_check
+        } else {
+            0
+        };
+        if tier.checks_mac() {
+            record.fixed_cycles = cost.verify_fixed_for(outcome.cache_hit);
+            record.verify_cycles = flow_term + cost.verify_cost_for(&outcome);
+        } else {
+            record.verify_cycles = flow_term;
+        }
+        record.path = if outcome.cache_hit {
+            PATH_WARM
+        } else if record.fallbacks > 0 {
+            PATH_FALLBACK
+        } else if record.scrubs > 0 {
+            PATH_SCRUB
+        } else {
+            PATH_COLD
+        };
+        // Advance the flow state: this (verified) call is the next call's
+        // predecessor. Tracked under every tier so switching tiers never
+        // changes what the state means.
+        self.last_syscall = Some(record.regs.nr as u16);
+        if tier.checks_mac() && record.regs.lb_ptr != 0 {
+            self.last_policy_cell = Some(record.regs.lb_ptr);
+        }
+        let vc = record.verify_cycles;
+        let stats = &mut self.stats;
+        stats.verified += 1;
+        stats.verify_aes_blocks += outcome.aes_blocks;
+        stats.verify_cycles += vc;
+        if outcome.cache_hit {
+            stats.cache_hits += 1;
+            stats.warm_aes_blocks += outcome.aes_blocks;
+            stats.warm_verify_cycles += vc;
+        }
+        // The warm counters partition the totals; a violation here means
+        // warm work was double counted somewhere.
+        debug_assert!(
+            stats.warm_aes_blocks <= stats.verify_aes_blocks,
+            "warm AES blocks exceed total"
+        );
+        debug_assert!(
+            stats.warm_verify_cycles <= stats.verify_cycles,
+            "warm verify cycles exceed total"
+        );
+        debug_assert!(
+            stats.cache_hits + stats.cache_fallbacks <= stats.verified,
+            "more cache outcomes than verified calls"
+        );
+        let exit = EventKind::TrapExit {
+            verified: true,
+            cache_hit: outcome.cache_hit,
+            verify_cycles: vc,
+            fixed_cycles: record.fixed_cycles,
+        };
+        record.outcome = outcome;
+        if let Some(m) = self.metrics.as_mut() {
+            m.record_verified(&self.record, &cost, self.opts.verify_cache);
+        }
+        self.emit_span(Some(exit));
+        vc
+    }
+
+    /// The fail-stop kill: the span closes with `Kill`, the alert is
+    /// logged, and only the trap itself is charged (a killed call is
+    /// charged no verification cycles).
+    fn kill(&mut self, ctx: &mut TrapContext<'_>, violation: Violation) -> TrapOutcome {
+        let (site, nr) = (self.record.site, self.record.nr);
+        let alert = Alert {
+            pid: self.pid,
+            site,
+            nr,
+            name: self.opts.personality.name_of(nr).to_string(),
+            violation,
+        };
+        let msg = alert.to_string();
+        if let Some(m) = self.metrics.as_mut() {
+            let id = m.kills;
+            m.inc(id);
+        }
+        let reason = alert.reason();
+        self.emit_span(Some(EventKind::Kill { site, nr, reason }));
+        self.log.push(alert);
+        self.sync_ring_gauge();
+        self.charge(ctx, self.cost.trap_base);
+        TrapOutcome::Kill(msg)
+    }
+
+    /// Emits the trap's span when a sink wants events: `TrapEnter`, one
+    /// `Check` per record, then `end` (`TrapExit` or `Kill`). A check's
+    /// `cycles` is its charge on a pass and 0 on a kill, whose AES blocks
+    /// are still reported. Every event carries the trap's arrival time.
+    fn emit_span(&mut self, end: Option<EventKind>) {
+        let Some(sink) = self.trace_sink.as_mut().filter(|s| s.enabled()) else {
+            return;
+        };
+        let record = &self.record;
+        let event = |severity, kind| Event {
+            span: record.span,
+            at_cycles: record.at_cycles,
+            severity,
+            kind,
+        };
+        let (site, nr) = (record.site, record.nr);
+        sink.record(event(Severity::Info, EventKind::TrapEnter { site, nr }));
+        let verified = matches!(end, Some(EventKind::TrapExit { .. }));
+        for check in &record.checks {
+            let cycles = if verified {
+                self.cost.check_cost_of(check)
+            } else {
+                0
+            };
+            let severity = if check.passed {
+                Severity::Info
+            } else {
+                Severity::Warn
+            };
+            let kind = EventKind::Check {
+                record: *check,
+                cycles,
+            };
+            sink.record(event(severity, kind));
+        }
+        if let Some(end) = end {
+            let severity = if verified {
+                Severity::Info
+            } else {
+                Severity::Alert
+            };
+            sink.record(event(severity, end));
+        }
+    }
+
+    /// Resolves the call (including OpenBSD `__syscall` indirection),
+    /// dispatches it, charges the trap, and maintains capabilities (§5.3).
+    fn dispatch_trap(&mut self, ctx: &mut TrapContext<'_>, charged: u64) -> TrapOutcome {
         let raw_nr = ctx.reg(Reg::R0) as u16;
         let mut args = [
             ctx.reg(Reg::R1),
@@ -1070,63 +1085,52 @@ impl Kernel {
             ctx.reg(Reg::R5),
             ctx.reg(Reg::R6),
         ];
-        let mut id = match self.opts.personality.id(raw_nr) {
-            Some(id) => id,
-            None => {
-                // Unknown syscall number: ENOSYS for plain kernels. (An
-                // enforcing kernel never reaches here with a forged number
-                // — the MAC check fails first.)
-                ctx.set_reg(Reg::R0, (-38i32) as u32);
-                if self.opts.charge_costs {
-                    ctx.charge(charged);
-                    self.stats.kernel_cycles += charged;
-                }
-                return TrapOutcome::Continue;
+        let personality = self.opts.personality;
+        let resolved = match personality.id(raw_nr) {
+            Some(SyscallId::IndirectSyscall) => {
+                let inner_nr = args[0] as u16;
+                args = [args[1], args[2], args[3], args[4], args[5], 0];
+                personality
+                    .id(inner_nr)
+                    .filter(|inner| *inner != SyscallId::IndirectSyscall)
             }
+            id => id,
         };
-        if id == SyscallId::IndirectSyscall {
-            let inner_nr = args[0] as u16;
-            args = [args[1], args[2], args[3], args[4], args[5], 0];
-            id = match self.opts.personality.id(inner_nr) {
-                Some(inner) if inner != SyscallId::IndirectSyscall => inner,
-                _ => {
-                    ctx.set_reg(Reg::R0, (-38i32) as u32);
-                    if self.opts.charge_costs {
-                        ctx.charge(charged);
-                        self.stats.kernel_cycles += charged;
-                    }
-                    return TrapOutcome::Continue;
-                }
-            };
-        }
+        let Some(id) = resolved else {
+            // Unknown syscall number: ENOSYS. (An enforcing kernel never
+            // reaches here with a forged number — the MAC check fails
+            // first.)
+            ctx.set_reg(Reg::R0, (-38i32) as u32);
+            self.charge(ctx, charged);
+            return TrapOutcome::Continue;
+        };
         self.trace.push(TraceEntry {
             id,
             raw_nr,
             site: ctx.pc,
         });
 
-        // --- Dispatch. ---
         let outcome = self.dispatch(id, args, ctx);
+        let handler = self.cost.handler_cost(id, self.last_io_bytes);
+        self.charge(ctx, charged + handler);
 
-        if self.opts.charge_costs {
-            let handler = self.cost.handler_cost(id, self.last_io_bytes);
-            charged += handler;
-            ctx.charge(charged);
-            self.stats.kernel_cycles += charged;
-        }
-
-        // --- Capability maintenance (§5.3). ---
         if self.opts.capability_tracking {
             let ret = ctx.reg(Reg::R0);
             if spec(id).returns_fd && (ret as i32) >= 0 {
                 self.caps.insert(ret);
             }
-            if spec(id).closes_fd && ctx.reg(Reg::R0) == 0 {
+            if spec(id).closes_fd && ret == 0 {
                 self.caps.remove(args[0]);
             }
         }
         self.sync_ring_gauge();
         outcome
+    }
+
+    /// Charges `cycles` of kernel work to the trapping process.
+    fn charge(&mut self, ctx: &mut TrapContext<'_>, cycles: u64) {
+        ctx.charge(cycles);
+        self.stats.kernel_cycles += cycles;
     }
 
     /// Mirrors the trace ring's drop counter into the metrics gauge when
@@ -1137,51 +1141,6 @@ impl Kernel {
         if let (Some(sink), Some(m)) = (self.trace_sink.as_ref(), self.metrics.as_mut()) {
             m.set_ring_dropped(sink.dropped());
         }
-    }
-
-    fn kill(
-        &mut self,
-        ctx: &mut TrapContext<'_>,
-        charged: u64,
-        span: SpanId,
-        tracing: bool,
-        violation: &Violation,
-    ) -> TrapOutcome {
-        let site = ctx.pc;
-        let nr = ctx.reg(Reg::R0) as u16;
-        let alert = Alert {
-            pid: self.pid,
-            site,
-            nr,
-            name: self.opts.personality.name_of(nr).to_string(),
-            violation: violation.clone(),
-        };
-        let msg = alert.to_string();
-        if let Some(m) = self.metrics.as_mut() {
-            let id = m.kills;
-            m.inc(id);
-        }
-        if tracing {
-            if let Some(sink) = self.trace_sink.as_mut() {
-                sink.record(Event {
-                    span,
-                    at_cycles: ctx.cycles(),
-                    severity: Severity::Alert,
-                    kind: EventKind::Kill {
-                        site,
-                        nr,
-                        reason: alert.reason(),
-                    },
-                });
-            }
-        }
-        self.log.push(alert);
-        self.sync_ring_gauge();
-        if self.opts.charge_costs {
-            ctx.charge(charged);
-            self.stats.kernel_cycles += charged;
-        }
-        TrapOutcome::Kill(msg)
     }
 }
 

@@ -21,7 +21,7 @@
 //!   of each call's verification cost.
 //! * `asc_check_cycles{family}` / `asc_check_aes_blocks{family}` /
 //!   `asc_check_bytes{family}` — one observation per verification check,
-//!   labeled by check family (`CallMeter`'s partition: call-mac,
+//!   labeled by check family (the verifier's per-check records: call-mac,
 //!   auth-string, pattern, capability, pred-set, policy-state, flow-edge).
 //!   Because the per-check records partition a call's AES blocks and bytes
 //!   exactly, and the per-record cost (`CostModel::check_cost_of` — linear
@@ -33,11 +33,11 @@
 //!   `asc_cache_outcome_total{outcome}` — plain counters; the cache-outcome
 //!   counter is only incremented when the verified-call cache is enabled.
 
-use asc_core::VerifyOutcome;
 use asc_metrics::{CounterId, GaugeId, HistogramId, Registry, Snapshot};
-use asc_trace::{CheckKind, CheckRecord, CHECK_FAMILIES};
+use asc_trace::{CheckKind, CHECK_FAMILIES};
 
 use crate::cost::CostModel;
+use crate::kernel::TrapRecord;
 
 /// The cache-participation paths a verification is labeled with, in
 /// [`PATH_COLD`]..[`PATH_SCRUB`] order.
@@ -197,43 +197,30 @@ impl KernelMetrics {
         self.registry.set(id, dropped as f64);
     }
 
-    /// Records one successful verification: the per-call histograms under
-    /// `path`, the per-check family histograms from the meter's records,
-    /// and (when the cache was attached) the cache-outcome counter.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one successful verification from its trap record: the
+    /// per-call histograms under the record's cache path, one observation
+    /// per check family record, and (when the cache is enabled) the
+    /// cache-outcome counter.
     pub(crate) fn record_verified(
         &mut self,
-        path: usize,
-        verify_cycles: u64,
-        fixed_cycles: u64,
-        outcome: &VerifyOutcome,
-        checks: &[CheckRecord],
+        record: &TrapRecord,
         cost: &CostModel,
-        charge_costs: bool,
         cache_enabled: bool,
     ) {
-        self.registry
-            .observe(self.verify_cycles[path], verify_cycles);
-        self.registry.observe(self.fixed_cycles[path], fixed_cycles);
-        self.registry
-            .observe(self.aes_blocks[path], outcome.aes_blocks);
-        self.registry
-            .observe(self.bytes[path], outcome.bytes_checked);
+        let path = record.path;
+        let registry = &mut self.registry;
+        registry.observe(self.verify_cycles[path], record.verify_cycles);
+        registry.observe(self.fixed_cycles[path], record.fixed_cycles);
+        registry.observe(self.aes_blocks[path], record.outcome.aes_blocks);
+        registry.observe(self.bytes[path], record.outcome.bytes_checked);
         if cache_enabled {
-            self.registry.inc(self.cache_outcome[path], 1);
+            registry.inc(self.cache_outcome[path], 1);
         }
-        for record in checks {
-            let family = record.kind.family();
-            let cycles = if charge_costs {
-                cost.check_cost_of(record)
-            } else {
-                0
-            };
-            self.registry.observe(self.check_cycles[family], cycles);
-            self.registry
-                .observe(self.check_aes[family], record.aes_blocks);
-            self.registry
-                .observe(self.check_bytes[family], record.bytes);
+        for check in &record.checks {
+            let family = check.kind.family();
+            registry.observe(self.check_cycles[family], cost.check_cost_of(check));
+            registry.observe(self.check_aes[family], check.aes_blocks);
+            registry.observe(self.check_bytes[family], check.bytes);
         }
     }
 }

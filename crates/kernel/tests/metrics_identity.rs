@@ -6,7 +6,7 @@
 //! * `Σ_path asc_verify_cycles.sum == KernelStats::verify_cycles`
 //! * `Σ_path asc_verify_aes_blocks.sum == KernelStats::verify_aes_blocks`
 //! * `Σ_family asc_check_aes_blocks.sum == KernelStats::verify_aes_blocks`
-//!   (the `CallMeter` per-check partition is exact)
+//!   (the verifier's per-check records partition each call exactly)
 //! * `Σ_family asc_check_cycles.sum + Σ_path asc_verify_fixed_cycles.sum
 //!   == KernelStats::verify_cycles` (the cost model is linear)
 //!

@@ -44,7 +44,7 @@ fn trap_pcs() -> Vec<u32> {
         .collect()
 }
 
-fn run_enforcing(tier: VerifyTier, registry: SiteRegistry) -> (RunOutcome, Kernel) {
+fn run_enforced(tier: VerifyTier, registry: SiteRegistry) -> (RunOutcome, Kernel) {
     let binary = assemble(GUEST).expect("assembles");
     let mut kernel = Kernel::new(KernelOptions::enforcing(Personality::Linux).with_tier(tier));
     kernel.set_key(key());
@@ -62,7 +62,7 @@ fn run_enforcing(tier: VerifyTier, registry: SiteRegistry) -> (RunOutcome, Kerne
 fn unregistered_trap_fail_stops_before_the_mac_path() {
     let pcs = trap_pcs();
     for &tier in &VerifyTier::ALL {
-        let (outcome, kernel) = run_enforcing(tier, SiteRegistry::new());
+        let (outcome, kernel) = run_enforced(tier, SiteRegistry::new());
         assert!(
             matches!(outcome, RunOutcome::Killed(_)),
             "{}: {outcome:?}",
@@ -95,7 +95,7 @@ fn unregistered_trap_fail_stops_before_the_mac_path() {
 #[test]
 fn registered_trap_proceeds_to_the_verification_path() {
     let registry: SiteRegistry = trap_pcs().into_iter().collect();
-    let (outcome, kernel) = run_enforcing(VerifyTier::Mac, registry);
+    let (outcome, kernel) = run_enforced(VerifyTier::Mac, registry);
     assert!(matches!(outcome, RunOutcome::Killed(_)), "{outcome:?}");
     let alert = kernel.alerts().last().expect("kill alerts");
     assert_ne!(
@@ -119,7 +119,7 @@ fn partial_registry_kills_the_first_unregistered_site() {
     assert!(pcs.len() >= 2, "guest traps at least twice");
     // Register only the *second* site: the first trap is the violation.
     let registry: SiteRegistry = pcs[1..].iter().copied().collect();
-    let (outcome, kernel) = run_enforcing(VerifyTier::Mac, registry);
+    let (outcome, kernel) = run_enforced(VerifyTier::Mac, registry);
     assert!(matches!(outcome, RunOutcome::Killed(_)), "{outcome:?}");
     let alert = kernel.alerts().last().expect("kill alerts");
     assert_eq!(alert.reason(), ReasonCode::UnrewrittenSite);
@@ -135,7 +135,7 @@ fn partial_registry_kills_the_first_unregistered_site() {
 #[test]
 fn flow_tier_without_a_digraph_kills_instead_of_passing() {
     let registry: SiteRegistry = trap_pcs().into_iter().collect();
-    let (outcome, _) = run_enforcing(VerifyTier::MacPlusFlow, registry);
+    let (outcome, _) = run_enforced(VerifyTier::MacPlusFlow, registry);
     match outcome {
         RunOutcome::Killed(msg) => {
             assert!(msg.contains("flow tier without a digraph"), "{msg}")

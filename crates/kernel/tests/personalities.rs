@@ -135,7 +135,9 @@ fn bsd_close_quirk_still_works_at_runtime() {
     // quirk defeats static analysis, not execution).
     let spec = asc_workloads::program("bison").expect("registered");
     let binary = asc_workloads::build(spec, Personality::OpenBsd).expect("builds");
-    let (outcome, kernel) = asc_workloads::run_plain(spec, &binary, Personality::OpenBsd);
+    let opts = KernelOptions::plain(Personality::OpenBsd);
+    let report = asc_workloads::measure(spec, &binary, opts, None);
+    let (outcome, kernel) = (report.outcome, report.kernel);
     assert!(outcome.is_success());
     assert!(
         kernel.trace().iter().any(|t| t.id == SyscallId::Close),

@@ -126,7 +126,7 @@ impl CacheDecision {
     }
 }
 
-/// One verification check, as metered inside `asc_core::verify_call`.
+/// One verification check, as metered by `asc_core::Verifier::verify`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckRecord {
     /// Which check ran.
@@ -142,47 +142,6 @@ pub struct CheckRecord {
     pub bytes: u64,
     /// How the verified-call cache participated.
     pub cache: CacheDecision,
-}
-
-/// Per-call check collector threaded through the verifier. A disabled
-/// meter records nothing and allocates nothing (`Vec::new` is allocation
-/// free), so the instrumented verifier stays cost-identical when telemetry
-/// is off.
-#[derive(Clone, Debug, Default)]
-pub struct CallMeter {
-    on: bool,
-    /// The checks recorded for this call, in execution order.
-    pub checks: Vec<CheckRecord>,
-}
-
-impl CallMeter {
-    /// A meter that drops everything (the default, zero-cost path).
-    pub fn disabled() -> CallMeter {
-        CallMeter {
-            on: false,
-            checks: Vec::new(),
-        }
-    }
-
-    /// A meter that keeps every [`CheckRecord`].
-    pub fn recording() -> CallMeter {
-        CallMeter {
-            on: true,
-            checks: Vec::new(),
-        }
-    }
-
-    /// Whether records are being kept.
-    pub fn is_recording(&self) -> bool {
-        self.on
-    }
-
-    /// Appends a record (no-op when disabled).
-    pub fn record(&mut self, record: CheckRecord) {
-        if self.on {
-            self.checks.push(record);
-        }
-    }
 }
 
 /// Event severity.
@@ -205,7 +164,7 @@ pub enum Severity {
 /// produces exactly the ids it always did and existing goldens are
 /// unchanged, while a scheduler's interleaved traps remain attributable
 /// via [`SpanId::pid`] / [`SpanId::local`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 /// Bits of a [`SpanId`] reserved for the per-process span counter; the pid
@@ -803,20 +762,6 @@ mod tests {
         assert_eq!(over.pid(), SpanId::MAX_DISTINCT_PID);
         assert_eq!(over.local(), 9);
         assert_ne!(over, SpanId::for_pid(1, 9));
-    }
-
-    #[test]
-    fn disabled_meter_records_nothing_and_never_allocates() {
-        let mut meter = CallMeter::disabled();
-        meter.record(CheckRecord {
-            kind: CheckKind::CallMac,
-            passed: true,
-            aes_blocks: 3,
-            bytes: 0,
-            cache: CacheDecision::Disabled,
-        });
-        assert!(meter.checks.is_empty());
-        assert_eq!(meter.checks.capacity(), 0, "no allocation when disabled");
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! # Example
 //!
 //! ```
-//! use asc_kernel::Personality;
-//! use asc_workloads::{build, program, run_plain};
+//! use asc_kernel::{KernelOptions, Personality};
+//! use asc_workloads::{build, measure, program};
 //!
 //! let spec = program("bison").expect("registered");
 //! let binary = build(spec, Personality::Linux)?;
-//! let (outcome, kernel) = run_plain(spec, &binary, Personality::Linux);
-//! assert!(outcome.is_success());
+//! let report = measure(spec, &binary, KernelOptions::plain(Personality::Linux), None);
+//! assert!(report.outcome.is_success());
 //! # Ok::<(), asc_workloads::BuildError>(())
 //! ```
 
@@ -30,7 +30,7 @@ pub use programs::{program, programs, ProgramKind, ProgramSpec};
 
 use asc_kernel::{
     FileSystem, FlowGraph, FlowParseError, Kernel, KernelOptions, Personality, SiteRegistry,
-    SitesParseError, VerifyTier,
+    SitesParseError,
 };
 use asc_object::{sections, Binary};
 use asc_vm::{Machine, RunOutcome};
@@ -99,19 +99,6 @@ pub fn kernel_for(spec: &ProgramSpec, personality: Personality, enforce: bool) -
 /// Cycle budget large enough for every workload.
 pub const RUN_BUDGET: u64 = 3_000_000_000;
 
-/// Runs a built workload on a plain (non-enforcing) kernel.
-pub fn run_plain(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-) -> (RunOutcome, Kernel) {
-    let mut kernel = kernel_for(spec, personality, false);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    (outcome, machine.into_handler())
-}
-
 /// Full measurement record from a run (the `rdtsc`-style numbers the
 /// performance tables consume).
 pub struct RunReport {
@@ -125,16 +112,31 @@ pub struct RunReport {
     pub instret: u64,
 }
 
-/// Runs a built workload and reports cycle counts. `key` switches the
-/// kernel to enforcing mode.
+/// Runs a built workload on a kernel configured by `opts` and reports
+/// cycle counts. A `key` installs the verification key together with the
+/// binary's `.ascsites` registry (see [`site_registry_for`]), and a tier
+/// that checks flow also loads its `.ascflow` digraph. Plain runs pass
+/// [`KernelOptions::plain`] and no key.
+///
+/// # Panics
+///
+/// If a flow tier runs a binary without a sound `.ascflow` digraph under
+/// `key` (see [`flow_graph_of`]), or the binary does not fit in memory.
 pub fn measure(
     spec: &ProgramSpec,
     binary: &Binary,
-    personality: Personality,
+    opts: KernelOptions,
     key: Option<asc_crypto::MacKey>,
 ) -> RunReport {
-    let mut kernel = kernel_for(spec, personality, key.is_some());
+    let mut fs = FileSystem::new();
+    (spec.setup_fs)(&mut fs);
+    let tier = opts.verify_tier;
+    let mut kernel = Kernel::with_fs(opts, fs);
+    kernel.set_stdin(spec.stdin.to_vec());
     if let Some(key) = key {
+        if tier.checks_flow() {
+            kernel.set_flow_graph(flow_graph_of(binary, &key));
+        }
         if let Some(sites) = site_registry_for(binary, &key) {
             kernel.set_site_registry(sites);
         }
@@ -151,18 +153,6 @@ pub fn measure(
         cycles,
         instret,
     }
-}
-
-/// Like [`measure`] in enforcing mode, but with the kernel's verified-call
-/// cache enabled — the warm fast path the ablation and Table 4 report
-/// alongside the cold (paper-faithful) numbers.
-pub fn measure_cached(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-) -> RunReport {
-    measure_tier_cached(spec, binary, personality, key, VerifyTier::Mac)
 }
 
 /// Errors loading a policy-artifact section (`.ascflow` / `.ascsites`)
@@ -267,101 +257,4 @@ pub fn site_registry_for(binary: &Binary, key: &asc_crypto::MacKey) -> Option<Si
         Err(ArtifactError::Missing(_)) => None,
         Err(_) => Some(SiteRegistry::new()),
     }
-}
-
-/// Like [`measure`] in enforcing mode, but running the given verification
-/// tier; the flow tiers additionally load the binary's `.ascflow` digraph
-/// into the kernel. `VerifyTier::Mac` is identical to
-/// `measure(spec, binary, personality, Some(key))`.
-pub fn measure_tier(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> RunReport {
-    let opts = KernelOptions::enforcing(personality).with_tier(tier);
-    measure_with_opts(spec, binary, key, opts)
-}
-
-/// [`measure_tier`] with the verified-call cache enabled — the warm
-/// fast path, per tier. Under `VerifyTier::FlowOnly` the cache is
-/// inert (it only short-circuits MAC work), so warm equals cold.
-pub fn measure_tier_cached(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> RunReport {
-    let opts = KernelOptions::enforcing(personality)
-        .with_verify_cache()
-        .with_tier(tier);
-    measure_with_opts(spec, binary, key, opts)
-}
-
-/// Shared body of the enforcing measurement entry points: the kernel is
-/// configured from `opts`, and the flow digraph is loaded whenever the
-/// selected tier checks transitions.
-fn measure_with_opts(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    key: asc_crypto::MacKey,
-    opts: KernelOptions,
-) -> RunReport {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let tier = opts.verify_tier;
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_stdin(spec.stdin.to_vec());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(flow_graph_of(binary, &key));
-    }
-    if let Some(sites) = site_registry_for(binary, &key) {
-        kernel.set_site_registry(sites);
-    }
-    kernel.set_key(key);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    let cycles = machine.cycles();
-    let instret = machine.instret();
-    RunReport {
-        outcome,
-        kernel: machine.into_handler(),
-        cycles,
-        instret,
-    }
-}
-
-/// Runs a built (authenticated) workload under the given verification
-/// tier (see [`measure_tier`]).
-pub fn run_tier(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> (RunOutcome, Kernel) {
-    let report = measure_tier(spec, binary, personality, key, tier);
-    (report.outcome, report.kernel)
-}
-
-/// Runs a built (authenticated) workload on an enforcing kernel with the
-/// given key.
-pub fn run_enforcing(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-) -> (RunOutcome, Kernel) {
-    let mut kernel = kernel_for(spec, personality, true);
-    if let Some(sites) = site_registry_for(binary, &key) {
-        kernel.set_site_registry(sites);
-    }
-    kernel.set_key(key);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    (outcome, machine.into_handler())
 }

@@ -9,12 +9,12 @@
 //! `unrewritten-site` kill, not an unenforced run.
 
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Personality, ReasonCode, SitesParseError};
+use asc_kernel::{KernelOptions, Personality, ReasonCode, SitesParseError};
 use asc_object::{sections, Binary};
 use asc_vm::RunOutcome;
 use asc_workloads::{
-    build, program, run_enforcing, site_registry_for, try_flow_graph_of, try_sites_of,
-    ArtifactError, ProgramSpec,
+    build, measure, program, site_registry_for, try_flow_graph_of, try_sites_of, ArtifactError,
+    ProgramSpec, RunReport,
 };
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -160,7 +160,10 @@ fn mac_tampered_registry_fails_closed_to_a_kill() {
         let registry = site_registry_for(&forged, &key()).expect("fail-closed registry");
         assert!(registry.is_empty(), "flip={flip}");
 
-        let (outcome, kernel) = run_enforcing(spec, &forged, PERSONALITY, key());
+        let opts = KernelOptions::enforcing(PERSONALITY);
+        let RunReport {
+            outcome, kernel, ..
+        } = measure(spec, &forged, opts, Some(key()));
         assert!(
             matches!(outcome, RunOutcome::Killed(_)),
             "flip={flip}: tampered registry must kill, got {outcome:?}"

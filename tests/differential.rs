@@ -13,9 +13,9 @@
 
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{Kernel, Personality, SyscallId, VerifyTier};
+use asc::kernel::{Kernel, KernelOptions, Personality, SyscallId, VerifyTier};
 use asc::vm::RunOutcome;
-use asc::workloads::{build, measure_tier, measure_tier_cached, programs, run_plain};
+use asc::workloads::{build, measure, programs};
 
 fn key() -> MacKey {
     MacKey::from_seed(0x0DD5_EED5)
@@ -59,8 +59,8 @@ fn every_workload_is_behaviour_identical_across_all_regimes_and_tiers() {
             .install(&plain, spec.name)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
 
-        let (base_outcome, base_kernel) = run_plain(spec, &plain, personality);
-        let base = observe(base_outcome, &base_kernel);
+        let report = measure(spec, &plain, KernelOptions::plain(personality), None);
+        let base = observe(report.outcome, &report.kernel);
         assert!(
             base.outcome.is_success(),
             "{}: plain run failed: {:?}",
@@ -71,12 +71,11 @@ fn every_workload_is_behaviour_identical_across_all_regimes_and_tiers() {
         // One sweep body for every (tier, cold/warm) enforcing regime:
         // the regime is data, not copy-pasted code.
         for &tier in &VerifyTier::ALL {
+            let cold = KernelOptions::enforcing(personality).with_tier(tier);
+            let warm = cold.clone().with_verify_cache();
             for (regime, report) in [
-                ("cold", measure_tier(spec, &auth, personality, key(), tier)),
-                (
-                    "warm",
-                    measure_tier_cached(spec, &auth, personality, key(), tier),
-                ),
+                ("cold", measure(spec, &auth, cold, Some(key()))),
+                ("warm", measure(spec, &auth, warm, Some(key()))),
             ] {
                 let observed = observe(report.outcome.clone(), &report.kernel);
                 assert_eq!(

@@ -4,9 +4,9 @@
 
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::Personality;
+use asc::kernel::{KernelOptions, Personality};
 use asc::monitors::{trace_names, train};
-use asc::workloads::{build, measure, program, run_plain};
+use asc::workloads::{build, measure, program, RunReport};
 
 fn key() -> MacKey {
     MacKey::from_seed(0x0DD5_EED5)
@@ -23,7 +23,14 @@ fn asc_count(name: &str, personality: Personality) -> usize {
 fn systrace_count(name: &str) -> usize {
     let spec = program(name).expect("registered");
     let binary = build(spec, Personality::OpenBsd).expect("builds");
-    let (outcome, kernel) = run_plain(spec, &binary, Personality::OpenBsd);
+    let RunReport {
+        outcome, kernel, ..
+    } = measure(
+        spec,
+        &binary,
+        KernelOptions::plain(Personality::OpenBsd),
+        None,
+    );
     assert!(outcome.is_success());
     train(name, [trace_names(&kernel)]).entry_count()
 }
@@ -74,7 +81,14 @@ fn table2_key_rows_hold() {
 
     // Systrace-side: the trained policy's aliases cover never-executed
     // path-based calls (the over-permission the paper calls out).
-    let (outcome, kernel) = run_plain(spec, &binary, Personality::OpenBsd);
+    let RunReport {
+        outcome, kernel, ..
+    } = measure(
+        spec,
+        &binary,
+        KernelOptions::plain(Personality::OpenBsd),
+        None,
+    );
     assert!(outcome.is_success());
     let st = train("bison", [trace_names(&kernel)]);
     for alias_covered in ["mkdir", "rmdir", "unlink", "readlink"] {
@@ -116,9 +130,14 @@ fn table6_overhead_shape() {
             InstallerOptions::new(Personality::Linux).with_program_id(pid),
         );
         let (auth, _) = installer.install(&plain, name).expect("installs");
-        let base = measure(spec, &plain, Personality::Linux, None);
+        let base = measure(spec, &plain, KernelOptions::plain(Personality::Linux), None);
         assert!(base.outcome.is_success());
-        let with = measure(spec, &auth, Personality::Linux, Some(key()));
+        let with = measure(
+            spec,
+            &auth,
+            KernelOptions::enforcing(Personality::Linux),
+            Some(key()),
+        );
         assert!(
             with.outcome.is_success(),
             "{name}: {:?}",

@@ -24,10 +24,7 @@ use asc::kernel::{
 };
 use asc::object::Binary;
 use asc::vm::{Machine, RunOutcome};
-use asc::workloads::{
-    build, flow_graph_of, measure_tier, measure_tier_cached, program, sites_of, ProgramSpec,
-    RUN_BUDGET,
-};
+use asc::workloads::{build, flow_graph_of, measure, program, sites_of, ProgramSpec, RUN_BUDGET};
 use asc_testkit::{check, Rng};
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -112,11 +109,11 @@ fn benign_traps_all_originate_from_registered_sites() {
             );
         }
 
-        let report = if cached {
-            measure_tier_cached(spec, &auth, PERSONALITY, key.clone(), tier)
-        } else {
-            measure_tier(spec, &auth, PERSONALITY, key.clone(), tier)
-        };
+        let mut opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+        if cached {
+            opts = opts.with_verify_cache();
+        }
+        let report = measure(spec, &auth, opts, Some(key.clone()));
         assert_eq!(
             report.outcome,
             RunOutcome::Exited(0),
@@ -154,7 +151,8 @@ fn removing_a_hit_site_turns_the_clean_run_into_an_origin_kill() {
 
         // A clean run's trace tells us which sites are actually hit.
         let full = sites_of(&auth, &key);
-        let report = measure_tier(spec, &auth, PERSONALITY, key.clone(), tier);
+        let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+        let report = measure(spec, &auth, opts, Some(key.clone()));
         assert_eq!(report.outcome, RunOutcome::Exited(0), "{name}: clean run");
         let hit: Vec<u32> = {
             let mut pcs: Vec<u32> = report.kernel.trace().iter().map(|t| t.site).collect();
